@@ -11,26 +11,40 @@
 // pages: header page(s) holding the component directory, then dedicated
 // data pages holding the component bytes back to back.
 //
-// Read paths mirror the two direct storage models:
+// Read paths mirror the two direct storage models. What a read fixes and
+// what it copies are separate decisions:
 //
-//   - ReadAll fetches header and all data pages — the plain DSM behaviour
-//     ("complex objects are stored as a whole ... the pages that store the
-//     tuple will not be shared", §3.1);
-//   - ReadParts fetches the header first and then only the data pages that
+//   - ReadAll and ReadAllShared fix the header and then all data pages,
+//     in the same FixRun chunks whatever the caller wants — the plain DSM
+//     behaviour ("complex objects are stored as a whole ... the pages that
+//     store the tuple will not be shared", §3.1);
+//   - ReadParts fixes the header first and then only the data pages that
 //     hold requested components — the DASDBS-DSM behaviour ("from the set
 //     of pages that stores the object, only those pages are retrieved that
 //     are actually used in a query", §3.2).
 //
+// Both take a selection of components (by tag and directory index) and
+// copy only the selected ones out of the fixed pages; the page fixes, and
+// with them every paper counter, are the same whatever is selected from a
+// DSM read. Every directory entry is validated against the object's data
+// area before any data page is fixed, selected or not, so a corrupt
+// directory yields ErrBadRef and never a fix outside the object.
+//
+// Writes are the mirror image: Insert and ReplaceAll put the directory
+// and the component bytes straight into the page payloads, with no
+// staging copy of the object.
 // ChangeComponent implements the §5.3 update anomaly: DASDBS "change
 // attribute" operations allocate a page pool of which all pages are
 // written immediately, making DASDBS-DSM updates expensive for small
 // objects.
 //
 // A Store has a single owner (the engine it belongs to) and reuses
-// scratch buffers across calls on that assumption. ReadAllShared is the
-// scratch-backed ReadAll used by the storage models' fetch paths: its
-// components are valid only until the next ReadAllShared call on the same
-// store, and in exchange a steady-state object read allocates nothing
-// beyond the values the caller decodes out — which keeps the benchmark
-// server's allocation rate flat under sustained load.
+// scratch buffers across calls on that assumption. ReadAllShared and
+// ReadParts return scratch-backed results: the components (and ReadParts'
+// index list) are valid only until the next ReadAllShared or ReadParts
+// call on the same store. The storage models' fetch paths decode
+// components into result objects immediately, so a steady-state object
+// read allocates nothing beyond the values the caller decodes out — which
+// keeps the benchmark server's allocation rate flat under sustained load.
+// ReadAll returns freshly allocated components that belong to the caller.
 package longobj

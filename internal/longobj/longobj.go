@@ -84,11 +84,16 @@ type Store struct {
 
 	// Scratch buffers reused across calls. A Store, like the engine it
 	// belongs to, has a single owner (workers and views never share one),
-	// so the reuse is safe: hdrScratch backs readHeader, spanScratch the
-	// directory walk, and compScratch/blockScratch the components of
-	// ReadAllShared (whose results are valid only until its next call).
+	// so the reuse is safe: hdrScratch backs readHeader and the directory
+	// a write encodes, spanScratch the directory walk, idScratch and
+	// pageScratch the page lists a call fixes, and idxScratch,
+	// compScratch and blockScratch the results of ReadAllShared and
+	// ReadParts (valid only until the next such call).
 	hdrScratch   []byte
 	spanScratch  []dirSpan
+	idScratch    []disk.PageID
+	pageScratch  []bool
+	idxScratch   []int
 	compScratch  []Component
 	blockScratch []byte
 }
@@ -163,7 +168,11 @@ func encodeInline(comps []Component) []byte {
 	return buf
 }
 
-func decodeInline(rec []byte) ([]Component, error) {
+// inlineSpans resolves a small-object record's directory into the
+// intervals of the components want selects (nil selects all). Every
+// directory length is validated against the record first, so a corrupt
+// record produces an error rather than a huge scratch allocation.
+func (s *Store) inlineSpans(rec []byte, want func(tag uint8, idx int) bool) ([]dirSpan, error) {
 	if len(rec) < inlinePrologue {
 		return nil, fmt.Errorf("%w: short inline object", ErrBadRef)
 	}
@@ -171,7 +180,7 @@ func decodeInline(rec []byte) ([]Component, error) {
 	if len(rec) < inlinePrologue+inlineEntry*n {
 		return nil, fmt.Errorf("%w: truncated inline directory", ErrBadRef)
 	}
-	comps := make([]Component, n)
+	spans := s.spanScratch[:0]
 	off := inlinePrologue + inlineEntry*n
 	for i := 0; i < n; i++ {
 		base := inlinePrologue + inlineEntry*i
@@ -180,39 +189,35 @@ func decodeInline(rec []byte) ([]Component, error) {
 		if off+l > len(rec) {
 			return nil, fmt.Errorf("%w: truncated inline component %d", ErrBadRef, i)
 		}
-		data := make([]byte, l)
-		copy(data, rec[off:off+l])
-		comps[i] = Component{Tag: tag, Data: data}
+		if want == nil || want(tag, i) {
+			spans = append(spans, dirSpan{off: off, end: off + l, idx: i, tag: tag})
+		}
 		off += l
 	}
-	return comps, nil
+	s.spanScratch = spans
+	return spans, nil
 }
 
-func (s *Store) insertLarge(comps []Component) (Ref, error) {
+// layout returns the header and data page counts of a large object made
+// of comps, and its total component bytes.
+func (s *Store) layout(comps []Component) (headerPages, dataPages, total int) {
 	eff := s.effSize()
-	dirBytes := dirPrologue + dirEntry*len(comps)
-	headerPages := (dirBytes + eff - 1) / eff
-	total := 0
 	for _, c := range comps {
 		total += len(c.Data)
 	}
-	dataPages := (total + eff - 1) / eff
-	if dataPages == 0 {
-		dataPages = 1
+	headerPages = (dirPrologue + dirEntry*len(comps) + eff - 1) / eff
+	dataPages = max((total+eff-1)/eff, 1)
+	return headerPages, dataPages, total
+}
+
+// directory encodes the component directory of comps into the header
+// scratch (free whenever no read is in progress).
+func (s *Store) directory(comps []Component, total int) []byte {
+	n := dirPrologue + dirEntry*len(comps)
+	if cap(s.hdrScratch) < n {
+		s.hdrScratch = make([]byte, n)
 	}
-	if headerPages > 0xFFFF || dataPages > 0xFFFF {
-		return Ref{}, fmt.Errorf("longobj: object too large: %d header, %d data pages", headerPages, dataPages)
-	}
-	start, err := s.claimRun(headerPages + dataPages)
-	if err != nil {
-		return Ref{}, err
-	}
-	images := make([][]byte, headerPages+dataPages)
-	for i := range images {
-		images[i] = make([]byte, s.dev.PageSize())
-	}
-	// Directory into header pages.
-	dir := make([]byte, dirBytes)
+	dir := s.hdrScratch[:n]
 	binary.BigEndian.PutUint16(dir, uint16(len(comps)))
 	binary.BigEndian.PutUint32(dir[2:], uint32(total))
 	off := 0
@@ -223,13 +228,54 @@ func (s *Store) insertLarge(comps []Component) (Ref, error) {
 		binary.BigEndian.PutUint32(dir[base+5:], uint32(len(c.Data)))
 		off += len(c.Data)
 	}
-	spill(dir, images[:headerPages])
-	// Component byte stream into data pages.
-	stream := make([]byte, 0, total)
-	for _, c := range comps {
-		stream = append(stream, c.Data...)
+	return dir
+}
+
+// objectWriter fills a large object's page payloads, visited in page
+// order: the directory across the header pages, then the components back
+// to back across the data pages, zeroing every byte past their end. The
+// components go straight into the pages, never through a staging copy.
+type objectWriter struct {
+	dir         []byte
+	headerPages int
+	comps       []Component
+	ci, co      int // next component, and how many of its bytes are written
+}
+
+func (w *objectWriter) fill(i int, payload []byte) {
+	n := 0
+	if i < w.headerPages {
+		if off := i * len(payload); off < len(w.dir) {
+			n = copy(payload, w.dir[off:])
+		}
+	} else {
+		for n < len(payload) && w.ci < len(w.comps) {
+			c := copy(payload[n:], w.comps[w.ci].Data[w.co:])
+			n += c
+			w.co += c
+			if w.co == len(w.comps[w.ci].Data) {
+				w.ci, w.co = w.ci+1, 0
+			}
+		}
 	}
-	spill(stream, images[headerPages:])
+	clear(payload[n:])
+}
+
+func (s *Store) insertLarge(comps []Component) (Ref, error) {
+	headerPages, dataPages, total := s.layout(comps)
+	if headerPages > 0xFFFF || dataPages > 0xFFFF {
+		return Ref{}, fmt.Errorf("longobj: object too large: %d header, %d data pages", headerPages, dataPages)
+	}
+	start, err := s.claimRun(headerPages + dataPages)
+	if err != nil {
+		return Ref{}, err
+	}
+	w := objectWriter{dir: s.directory(comps, total), headerPages: headerPages, comps: comps}
+	images := make([][]byte, headerPages+dataPages)
+	for i := range images {
+		images[i] = make([]byte, s.dev.PageSize())
+		w.fill(i, images[i][disk.SysHeaderSize:])
+	}
 	if err := s.dev.WriteRun(start, images); err != nil {
 		return Ref{}, err
 	}
@@ -238,15 +284,6 @@ func (s *Store) insertLarge(comps []Component) (Ref, error) {
 	s.dataPages += dataPages
 	s.dataBytes += int64(total)
 	return Ref{Start: start, HeaderPages: uint16(headerPages), DataPages: uint16(dataPages)}, nil
-}
-
-// spill copies b across the payload areas of the given page images.
-func spill(b []byte, images [][]byte) {
-	for i := 0; len(b) > 0 && i < len(images); i++ {
-		payload := images[i][disk.SysHeaderSize:]
-		n := copy(payload, b)
-		b = b[n:]
-	}
 }
 
 // dirEntryAt decodes directory entry i from the header byte stream.
@@ -305,12 +342,9 @@ func (s *Store) visitPages(ids []disk.PageID, dirty bool, visit func(i int, payl
 
 // readHeader fetches the header pages (one I/O call: "DASDBS uses separate
 // I/O calls to retrieve the root page ... the additional header pages ...
-// and the data pages") and returns a copy of the assembled directory bytes.
+// and the data pages") and returns the assembled directory bytes, backed
+// by the header scratch.
 func (s *Store) readHeader(ref Ref) ([]byte, error) {
-	ids := make([]disk.PageID, ref.HeaderPages)
-	for i := range ids {
-		ids[i] = ref.Start + disk.PageID(i)
-	}
 	eff := s.effSize()
 	need := int(ref.HeaderPages) * eff
 	if cap(s.hdrScratch) < need {
@@ -320,7 +354,7 @@ func (s *Store) readHeader(ref Ref) ([]byte, error) {
 	// bytes) and only read until the caller returns — no call path reads
 	// two headers at once.
 	hdr := s.hdrScratch[:need]
-	err := s.visitPages(ids, false, func(i int, payload []byte) {
+	err := s.visitPages(s.pageIDs(ref.Start, int(ref.HeaderPages)), false, func(i int, payload []byte) {
 		copy(hdr[i*eff:], payload)
 	})
 	if err != nil {
@@ -329,187 +363,125 @@ func (s *Store) readHeader(ref Ref) ([]byte, error) {
 	return hdr, nil
 }
 
-// dirSpan is one directory entry resolved to its data-area interval.
-type dirSpan struct {
-	off, end int
-	tag      uint8
+// pageIDs returns the n consecutive page IDs from start, backed by the
+// page-ID scratch.
+func (s *Store) pageIDs(start disk.PageID, n int) []disk.PageID {
+	ids := s.idScratch[:0]
+	for i := 0; i < n; i++ {
+		ids = append(ids, start+disk.PageID(i))
+	}
+	s.idScratch = ids
+	return ids
 }
 
-// dataPageIDs returns the page IDs of the object's data area.
-func (s *Store) dataPageIDs(ref Ref) []disk.PageID {
-	ids := make([]disk.PageID, ref.DataPages)
-	for i := range ids {
-		ids[i] = ref.Start + disk.PageID(int(ref.HeaderPages)+i)
-	}
-	return ids
+// dirSpan is one directory entry resolved to its interval: in the data
+// area for a large object, in the record for a small one.
+type dirSpan struct {
+	off, end int
+	idx      int
+	tag      uint8
 }
 
 // ReadAll returns every component (DSM read path: header call + one call
 // for the full contiguous data run). The returned components are freshly
 // allocated and belong to the caller.
 func (s *Store) ReadAll(ref Ref) ([]Component, error) {
-	return s.readAll(ref, false)
+	comps, _, err := s.read(ref, nil, true, false)
+	return comps, err
 }
 
-// ReadAllShared is ReadAll over per-store scratch buffers: the returned
-// slice and every component's Data are valid only until the next
-// ReadAllShared call on this store. The storage models' fetch paths
-// decode components into result objects immediately, so they ride on this
-// variant and a steady-state object read allocates nothing beyond the
-// decoded values — which is what keeps a serving process's allocation
-// rate (and with it the GC's transient footprint) flat under load.
-func (s *Store) ReadAllShared(ref Ref) ([]Component, error) {
-	return s.readAll(ref, true)
-}
-
-// scratch returns the component and data scratch for a scratch-backed
-// read, or fresh allocations for the plain contract.
-func (s *Store) scratch(scratch bool, n, total int) ([]Component, []byte) {
-	if !scratch {
-		return make([]Component, n), make([]byte, total)
-	}
-	if cap(s.compScratch) < n {
-		s.compScratch = make([]Component, n+8)
-	}
-	if cap(s.blockScratch) < total {
-		s.blockScratch = make([]byte, total+total/2)
-	}
-	return s.compScratch[:n], s.blockScratch[:total]
-}
-
-func (s *Store) readAll(ref Ref, scratch bool) ([]Component, error) {
-	if ref.Small {
-		if !scratch {
-			// decodeInline copies every component out of the record, so
-			// decoding under the page view is safe and the record-sized
-			// staging copy heap.Get would make disappears. Same single
-			// buffer fix either way — the paper counters cannot move.
-			var comps []Component
-			err := s.shared.View(ref.RID, func(rec []byte) error {
-				var err error
-				comps, err = decodeInline(rec)
-				return err
-			})
-			return comps, err
-		}
-		// Scratch path: decode straight out of the heap page view, so
-		// even the record copy disappears.
-		var comps []Component
-		err := s.shared.View(ref.RID, func(rec []byte) error {
-			var err error
-			comps, err = s.decodeInlineShared(rec)
-			return err
-		})
-		return comps, err
-	}
-	hdr, err := s.readHeader(ref)
-	if err != nil {
-		return nil, err
-	}
-	n := int(binary.BigEndian.Uint16(hdr))
-	eff := s.effSize()
-	// Decode the directory once, back every component with one shared
-	// block, and copy each visited page straight into the components it
-	// feeds — the object is moved exactly once, with at most two
-	// allocations per read no matter how many components it has. (An
-	// earlier version staged the whole object in a stream buffer and
-	// copied every component out of it again; at serving rates that
-	// staging was the single largest allocation site in the process.)
-	dataLen := int(ref.DataPages) * eff
-	if cap(s.spanScratch) < n {
-		s.spanScratch = make([]dirSpan, n+8)
-	}
-	spans := s.spanScratch[:n]
-	total := 0
-	for i := 0; i < n; i++ {
-		tag, off, length, err := dirEntryAt(hdr, i)
-		if err != nil {
-			return nil, err
-		}
-		if off+length > dataLen {
-			return nil, fmt.Errorf("%w: component %d beyond data", ErrBadRef, i)
-		}
-		spans[i] = dirSpan{off: off, end: off + length, tag: tag}
-		total += length
-	}
-	comps, block := s.scratch(scratch, n, total)
-	pos := 0
-	for i := range comps {
-		length := spans[i].end - spans[i].off
-		comps[i] = Component{Tag: spans[i].tag, Data: block[pos : pos+length : pos+length]}
-		pos += length
-	}
-	err = s.visitPages(s.dataPageIDs(ref), false, func(p int, payload []byte) {
-		pageLo := p * eff
-		for i := range spans {
-			lo, hi := max(spans[i].off, pageLo), min(spans[i].end, pageLo+eff)
-			if lo < hi {
-				copy(comps[i].Data[lo-spans[i].off:], payload[lo-pageLo:hi-pageLo])
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return comps, nil
-}
-
-// decodeInlineShared is decodeInline over the store scratch; see
-// ReadAllShared for the aliasing contract.
-func (s *Store) decodeInlineShared(rec []byte) ([]Component, error) {
-	if len(rec) < inlinePrologue {
-		return nil, fmt.Errorf("%w: short inline object", ErrBadRef)
-	}
-	n := int(binary.BigEndian.Uint16(rec))
-	if len(rec) < inlinePrologue+inlineEntry*n {
-		return nil, fmt.Errorf("%w: truncated inline directory", ErrBadRef)
-	}
-	// Validate every directory length against the record before sizing
-	// the scratch: a corrupt record must produce an error, not a huge
-	// allocation retained on the store.
-	total := 0
-	end := inlinePrologue + inlineEntry*n
-	for i := 0; i < n; i++ {
-		l := int(binary.BigEndian.Uint16(rec[inlinePrologue+inlineEntry*i+1:]))
-		if end+total+l > len(rec) {
-			return nil, fmt.Errorf("%w: truncated inline component %d", ErrBadRef, i)
-		}
-		total += l
-	}
-	comps, block := s.scratch(true, n, total)
-	off := end
-	pos := 0
-	for i := 0; i < n; i++ {
-		base := inlinePrologue + inlineEntry*i
-		l := int(binary.BigEndian.Uint16(rec[base+1:]))
-		data := block[pos : pos+l : pos+l]
-		copy(data, rec[off:off+l])
-		comps[i] = Component{Tag: rec[base], Data: data}
-		off += l
-		pos += l
-	}
-	return comps, nil
+// ReadAllShared transfers the whole object like ReadAll — the header and
+// every data page, fixed in the same runs — but copies out only the
+// components want selects (by tag and directory index; nil selects all),
+// into per-store scratch: the returned slice and every component's Data
+// are valid only until the next ReadAllShared or ReadParts call on this
+// store. The storage models' fetch paths decode components into result
+// objects immediately, so they ride on this variant, and a query that
+// consumes one component of a DSM object pays that object's page
+// transfer but not the copy of the rest.
+func (s *Store) ReadAllShared(ref Ref, want func(tag uint8, idx int) bool) ([]Component, error) {
+	comps, _, err := s.read(ref, want, true, true)
+	return comps, err
 }
 
 // ReadParts returns the components selected by want (given tag and
 // component index), reading only the data pages that hold them (DASDBS-DSM
 // read path). For small objects the single shared page is read either way.
-// The second result lists the selected component indices.
+// The second result lists the selected component indices. Both results
+// follow ReadAllShared's scratch contract: valid only until the next
+// ReadAllShared or ReadParts call on this store.
 func (s *Store) ReadParts(ref Ref, want func(tag uint8, idx int) bool) ([]Component, []int, error) {
+	comps, spans, err := s.read(ref, want, false, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	idxs := s.idxScratch[:0]
+	for _, sp := range spans {
+		idxs = append(idxs, sp.idx)
+	}
+	s.idxScratch = idxs
+	return comps, idxs, nil
+}
+
+// components backs one component per span with a single block: per-store
+// scratch for the shared contract, fresh allocations otherwise.
+func (s *Store) components(spans []dirSpan, scratch bool) []Component {
+	total := 0
+	for _, sp := range spans {
+		total += sp.end - sp.off
+	}
+	var comps []Component
+	var block []byte
+	if scratch {
+		if cap(s.compScratch) < len(spans) {
+			s.compScratch = make([]Component, len(spans)+8)
+		}
+		if cap(s.blockScratch) < total {
+			s.blockScratch = make([]byte, total+total/2)
+		}
+		comps, block = s.compScratch[:len(spans)], s.blockScratch[:total]
+	} else {
+		comps, block = make([]Component, len(spans)), make([]byte, total)
+	}
+	pos := 0
+	for k, sp := range spans {
+		length := sp.end - sp.off
+		comps[k] = Component{Tag: sp.tag, Data: block[pos : pos+length : pos+length]}
+		pos += length
+	}
+	return comps
+}
+
+// read is the one object read path. It validates the whole directory,
+// fixes the header pages and then either every data page (allPages, the
+// DSM transfer) or only the data pages holding selected components (the
+// DASDBS-DSM transfer), and copies out only the components want selects
+// (nil selects all). Which pages are fixed never depends on want when
+// allPages is set, so the paper counters of a DSM read do not depend on
+// what the caller consumes. A small object is one view of its shared
+// page either way. The spans of the selected components are returned
+// alongside them.
+func (s *Store) read(ref Ref, want func(tag uint8, idx int) bool, allPages, scratch bool) ([]Component, []dirSpan, error) {
 	if ref.Small {
-		all, err := s.ReadAll(ref)
+		// Copy straight out of the heap page view: no record-sized
+		// staging copy, and the same single buffer fix as heap.Get.
+		var comps []Component
+		var spans []dirSpan
+		err := s.shared.View(ref.RID, func(rec []byte) error {
+			var err error
+			if spans, err = s.inlineSpans(rec, want); err != nil {
+				return err
+			}
+			comps = s.components(spans, scratch)
+			for k, sp := range spans {
+				copy(comps[k].Data, rec[sp.off:sp.end])
+			}
+			return nil
+		})
 		if err != nil {
 			return nil, nil, err
 		}
-		var comps []Component
-		var idxs []int
-		for i, c := range all {
-			if want(c.Tag, i) {
-				comps = append(comps, c)
-				idxs = append(idxs, i)
-			}
-		}
-		return comps, idxs, nil
+		return comps, spans, nil
 	}
 	hdr, err := s.readHeader(ref)
 	if err != nil {
@@ -517,57 +489,63 @@ func (s *Store) ReadParts(ref Ref, want func(tag uint8, idx int) bool) ([]Compon
 	}
 	n := int(binary.BigEndian.Uint16(hdr))
 	eff := s.effSize()
-
-	type span struct {
-		idx, off, length int
-		tag              uint8
-		data             []byte
-	}
-	var spans []*span
-	pageSet := map[int]bool{} // data page index within the object
+	dataLen := int(ref.DataPages) * eff
+	spans := s.spanScratch[:0]
 	for i := 0; i < n; i++ {
 		tag, off, length, err := dirEntryAt(hdr, i)
 		if err != nil {
 			return nil, nil, err
 		}
-		if !want(tag, i) {
-			continue
+		if off+length > dataLen {
+			return nil, nil, fmt.Errorf("%w: component %d beyond data", ErrBadRef, i)
 		}
-		spans = append(spans, &span{idx: i, off: off, length: length, tag: tag, data: make([]byte, length)})
-		for pg := off / eff; length > 0 && pg <= (off+length-1)/eff; pg++ {
-			pageSet[pg] = true
+		if want == nil || want(tag, i) {
+			spans = append(spans, dirSpan{off: off, end: off + length, idx: i, tag: tag})
 		}
 	}
-	var pgs []int
-	for pg := range pageSet {
-		pgs = append(pgs, pg)
-	}
-	sortInts(pgs)
-	ids := make([]disk.PageID, len(pgs))
-	for i, pg := range pgs {
-		ids[i] = ref.Start + disk.PageID(int(ref.HeaderPages)+pg)
-	}
-	err = s.visitPages(ids, false, func(i int, payload []byte) {
-		pg := pgs[i]
-		pageStart := pg * eff
+	s.spanScratch = spans
+	comps := s.components(spans, scratch)
+
+	dataStart := ref.Start + disk.PageID(ref.HeaderPages)
+	var ids []disk.PageID
+	if allPages {
+		ids = s.pageIDs(dataStart, int(ref.DataPages))
+	} else {
+		// The data pages any selected component touches, ascending and
+		// each once.
+		if cap(s.pageScratch) < int(ref.DataPages) {
+			s.pageScratch = make([]bool, ref.DataPages)
+		}
+		touched := s.pageScratch[:ref.DataPages]
+		clear(touched)
 		for _, sp := range spans {
-			segStart := max(sp.off, pageStart)
-			segEnd := min(sp.off+sp.length, pageStart+eff)
-			if segStart < segEnd {
-				copy(sp.data[segStart-sp.off:segEnd-sp.off], payload[segStart-pageStart:segEnd-pageStart])
+			for pg := sp.off / eff; sp.off < sp.end && pg*eff < sp.end; pg++ {
+				touched[pg] = true
+			}
+		}
+		ids = s.idScratch[:0]
+		for pg, t := range touched {
+			if t {
+				ids = append(ids, dataStart+disk.PageID(pg))
+			}
+		}
+		s.idScratch = ids
+	}
+	// Copy each visited page straight into the selected components it
+	// feeds: every wanted byte is moved exactly once.
+	err = s.visitPages(ids, false, func(p int, payload []byte) {
+		pageLo := int(ids[p]-dataStart) * eff
+		for k, sp := range spans {
+			lo, hi := max(sp.off, pageLo), min(sp.end, pageLo+eff)
+			if lo < hi {
+				copy(comps[k].Data[lo-sp.off:], payload[lo-pageLo:hi-pageLo])
 			}
 		}
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	comps := make([]Component, 0, len(spans))
-	idxs := make([]int, 0, len(spans))
-	for _, sp := range spans {
-		comps = append(comps, Component{Tag: sp.tag, Data: sp.data})
-		idxs = append(idxs, sp.idx)
-	}
-	return comps, idxs, nil
+	return comps, spans, nil
 }
 
 // ReplaceAll overwrites the whole object in place (the paper's "replace
@@ -585,60 +563,13 @@ func (s *Store) ReplaceAll(ref Ref, comps []Component) error {
 		}
 		return s.shared.Update(ref.RID, rec)
 	}
-	eff := s.effSize()
-	dirBytes := dirPrologue + dirEntry*len(comps)
-	headerPages := (dirBytes + eff - 1) / eff
-	total := 0
-	for _, c := range comps {
-		total += len(c.Data)
-	}
-	dataPages := (total + eff - 1) / eff
-	if dataPages == 0 {
-		dataPages = 1
-	}
+	headerPages, dataPages, total := s.layout(comps)
 	if headerPages != int(ref.HeaderPages) || dataPages != int(ref.DataPages) {
 		return fmt.Errorf("%w: %dh+%dd -> %dh+%dd", ErrResize,
 			ref.HeaderPages, ref.DataPages, headerPages, dataPages)
 	}
-	dir := make([]byte, dirBytes)
-	binary.BigEndian.PutUint16(dir, uint16(len(comps)))
-	binary.BigEndian.PutUint32(dir[2:], uint32(total))
-	off := 0
-	for i, c := range comps {
-		base := dirPrologue + dirEntry*i
-		dir[base] = c.Tag
-		binary.BigEndian.PutUint32(dir[base+1:], uint32(off))
-		binary.BigEndian.PutUint32(dir[base+5:], uint32(len(c.Data)))
-		off += len(c.Data)
-	}
-	stream := make([]byte, 0, total)
-	for _, c := range comps {
-		stream = append(stream, c.Data...)
-	}
-	ids := make([]disk.PageID, ref.Pages())
-	for i := range ids {
-		ids[i] = ref.Start + disk.PageID(i)
-	}
-	return s.visitPages(ids, true, func(i int, payload []byte) {
-		var src []byte
-		if i < headerPages {
-			src = tail(dir, i*eff)
-		} else {
-			src = tail(stream, (i-headerPages)*eff)
-		}
-		n := copy(payload, src)
-		for j := n; j < len(payload); j++ {
-			payload[j] = 0
-		}
-	})
-}
-
-// tail returns b[off:] or nil when off is past the end.
-func tail(b []byte, off int) []byte {
-	if off >= len(b) {
-		return nil
-	}
-	return b[off:]
+	w := objectWriter{dir: s.directory(comps, total), headerPages: headerPages, comps: comps}
+	return s.visitPages(s.pageIDs(ref.Start, ref.Pages()), true, w.fill)
 }
 
 // Replace stores the new component set for an existing object. When the
@@ -740,16 +671,11 @@ func (s *Store) FreedPages() int { return s.freedPages }
 // written through.
 func (s *Store) ChangeComponent(ref Ref, idx int, data []byte) (int, error) {
 	if ref.Small {
-		// Decode under the page view (decodeInline copies, nothing
-		// aliases the frame) and drop the view before Update re-fixes
-		// the page — the fix count stays identical to the old
-		// Get-then-Update sequence.
-		var comps []Component
-		if err := s.shared.View(ref.RID, func(rec []byte) error {
-			var err error
-			comps, err = decodeInline(rec)
-			return err
-		}); err != nil {
+		// One view of the page (the components are copied out, nothing
+		// aliases the frame), dropped before Update re-fixes the page —
+		// the fix count stays identical to a Get-then-Update sequence.
+		comps, err := s.ReadAll(ref)
+		if err != nil {
 			return 0, err
 		}
 		if idx < 0 || idx >= len(comps) {
@@ -779,10 +705,13 @@ func (s *Store) ChangeComponent(ref Ref, idx int, data []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	eff := s.effSize()
+	if off+length > int(ref.DataPages)*eff {
+		return 0, fmt.Errorf("%w: component %d beyond data", ErrBadRef, idx)
+	}
 	if len(data) != length {
 		return 0, fmt.Errorf("%w: %d -> %d bytes", ErrSameLen, length, len(data))
 	}
-	eff := s.effSize()
 	var ids []disk.PageID
 	firstPg := 0
 	if length > 0 {
@@ -875,12 +804,4 @@ func ReadRef(r *wire.Reader) Ref {
 		return Ref{Small: true, RID: heap.RID{Page: disk.PageID(a), Slot: h}}
 	}
 	return Ref{Start: disk.PageID(a), HeaderPages: h, DataPages: d}
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

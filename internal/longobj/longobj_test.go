@@ -2,6 +2,7 @@ package longobj
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -562,5 +563,147 @@ func TestReplaceSmallRelocatesWhenPageFull(t *testing.T) {
 		if err != nil || g[0].Data[0] != byte(i) {
 			t.Errorf("neighbour %d damaged: %v", i, err)
 		}
+	}
+}
+
+// ioCounts is what a read costs in the paper's terms.
+type ioCounts struct {
+	pages, calls, fixes, hits int64
+}
+
+func measure(t *testing.T, d *disk.Disk, pool *buffer.Pool, read func() []Component) ([]Component, ioCounts) {
+	t.Helper()
+	d.ResetStats()
+	pool.ResetStats()
+	comps := read()
+	// Detach from the store scratch before the next read reuses it.
+	out := make([]Component, len(comps))
+	for i, c := range comps {
+		out[i] = Component{Tag: c.Tag, Data: bytes.Clone(c.Data)}
+	}
+	st := d.Stats()
+	return out, ioCounts{st.PagesRead, st.ReadCalls, pool.Fixes(), pool.Hits()}
+}
+
+// A tag-filtered ReadAllShared pays exactly the full read's I/O — same
+// pages, calls, fixes and hits, cold and warm — and returns exactly the
+// full read's components of the wanted tags, byte for byte.
+func TestReadAllSharedFilterSameIOFewerCopies(t *testing.T) {
+	d, pool, s := newStore(t, 16)
+	eff := d.EffectivePageSize()
+	objects := [][]Component{
+		{comp(0, 1, 300), comp(1, 2, 200), comp(2, 3, 100)},                     // small
+		{comp(0, 1, 500), comp(1, 2, eff+700), comp(2, 3, 1200), comp(1, 4, 9)}, // large
+		{comp(2, 5, eff), comp(0, 6, 0), comp(1, 7, 2*eff+1)},                   // large, root not first
+	}
+	filters := map[string]func(uint8, int) bool{
+		"root":     func(tag uint8, _ int) bool { return tag == 0 },
+		"root+pl":  func(tag uint8, _ int) bool { return tag == 0 || tag == 1 },
+		"nothing":  func(uint8, int) bool { return false },
+		"all(nil)": nil,
+	}
+	for oi, obj := range objects {
+		ref, err := s.Insert(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pool.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		for name, want := range filters {
+			for _, cold := range []bool{true, false} {
+				if cold {
+					if err := pool.Reset(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				full, fullIO := measure(t, d, pool, func() []Component {
+					c, err := s.ReadAll(ref)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return c
+				})
+				if cold {
+					if err := pool.Reset(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				got, gotIO := measure(t, d, pool, func() []Component {
+					c, err := s.ReadAllShared(ref, want)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return c
+				})
+				if gotIO != fullIO {
+					t.Errorf("object %d %s cold=%v: filtered read I/O %+v, full read %+v", oi, name, cold, gotIO, fullIO)
+				}
+				var wantComps []Component
+				for i, c := range full {
+					if want == nil || want(c.Tag, i) {
+						wantComps = append(wantComps, c)
+					}
+				}
+				if !equalComps(got, wantComps) {
+					t.Errorf("object %d %s: filtered components differ from the full read's", oi, name)
+				}
+			}
+		}
+	}
+}
+
+// A directory entry pointing past the object's data area is rejected
+// before any data page is fixed: ReadParts must not read, nor
+// ChangeComponent write, pages belonging to a neighbouring object (or
+// past the device end).
+func TestReadPartsRejectsEntryBeyondData(t *testing.T) {
+	d, pool, s := newStore(t, 16)
+	eff := d.EffectivePageSize()
+	ref, err := s.Insert([]Component{comp(0, 1, 100), comp(1, 2, eff), comp(2, 3, 400)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Insert([]Component{comp(0, 9, 3*eff)}); err != nil { // the neighbour
+		t.Fatal(err)
+	}
+	if err := pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	// Point entry 1 one page past the object's last data page.
+	hdr, err := d.ReadCopy(ref.Start, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := hdr[0][disk.SysHeaderSize+dirPrologue+dirEntry*1:]
+	binary.BigEndian.PutUint32(entry[1:], uint32((int(ref.DataPages)+1)*eff))
+	if err := d.WriteRun(ref.Start, hdr); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	d.ResetStats()
+	_, _, err = s.ReadParts(ref, func(tag uint8, _ int) bool { return tag == 1 })
+	if !errors.Is(err, ErrBadRef) {
+		t.Fatalf("ReadParts over a corrupt directory entry: err = %v, want ErrBadRef", err)
+	}
+	if st := d.Stats(); st.PagesRead != int64(ref.HeaderPages) {
+		t.Errorf("corrupt-entry ReadParts read %d pages, want only the %d header page(s)", st.PagesRead, ref.HeaderPages)
+	}
+	// Selecting only intact components still fails: the directory as a
+	// whole is validated, as ReadAll does.
+	if _, _, err := s.ReadParts(ref, func(tag uint8, _ int) bool { return tag == 0 }); !errors.Is(err, ErrBadRef) {
+		t.Errorf("ReadParts of an intact component of a corrupt object: err = %v, want ErrBadRef", err)
+	}
+	if _, err := s.ReadAll(ref); !errors.Is(err, ErrBadRef) {
+		t.Errorf("ReadAll over a corrupt directory entry: err = %v, want ErrBadRef", err)
+	}
+	d.ResetStats()
+	if _, err := s.ChangeComponent(ref, 1, make([]byte, eff)); !errors.Is(err, ErrBadRef) {
+		t.Errorf("ChangeComponent of a corrupt directory entry: err = %v, want ErrBadRef", err)
+	}
+	if st := d.Stats(); st.PagesWritten != 0 {
+		t.Errorf("corrupt-entry ChangeComponent wrote %d pages", st.PagesWritten)
 	}
 }

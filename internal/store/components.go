@@ -223,6 +223,40 @@ func EncodeComponents(s *cobench.Station) ([]longobj.Component, error) {
 	return comps, nil
 }
 
+// componentsKey returns the root key of a station's direct-storage
+// components and validates every component exactly as DecodeComponents
+// does — nf2's Check applies the decoders' bounds checks in their order,
+// so the same encodings fail with the same errors — without allocating.
+// A value selection uses it to skip decoding the objects it does not
+// select.
+func componentsKey(comps []longobj.Component) (int32, error) {
+	var key int32
+	seenRoot := false
+	for _, c := range comps {
+		var err error
+		switch c.Tag {
+		case TagRoot:
+			if err = RootType.Check(c.Data); err == nil {
+				key, err = DecodeRootKey(c.Data)
+				seenRoot = true
+			}
+		case TagPlatform:
+			err = cobench.PlatformType.Check(c.Data)
+		case TagSightseeing:
+			err = cobench.SightseeingType.Check(c.Data)
+		default:
+			err = fmt.Errorf("store: unknown component tag %d", c.Tag)
+		}
+		if err != nil {
+			return 0, err
+		}
+	}
+	if !seenRoot {
+		return 0, fmt.Errorf("store: object without root component")
+	}
+	return key, nil
+}
+
 // DecodeComponents reassembles a station from direct-storage components.
 func DecodeComponents(comps []longobj.Component) (*cobench.Station, error) {
 	var s cobench.Station

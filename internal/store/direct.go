@@ -76,11 +76,29 @@ func (m *direct) Load(stations []*cobench.Station) error {
 
 // fetch reads one whole object.
 func (m *direct) fetch(i int) (*cobench.Station, error) {
-	comps, err := m.objs.ReadAllShared(m.addr[i])
+	comps, err := m.objs.ReadAllShared(m.addr[i], nil)
 	if err != nil {
 		return nil, err
 	}
 	return DecodeComponents(comps)
+}
+
+// Component selections of the partial reads: query 3 reads only the root
+// record, navigation the root and the platforms (which carry the child
+// references).
+func wantRoot(tag uint8, _ int) bool     { return tag == TagRoot }
+func wantNavigate(tag uint8, _ int) bool { return tag == TagRoot || tag == TagPlatform }
+
+// read returns the components of object i that want selects. DASDBS-DSM
+// transfers only the pages holding them, DSM the whole object either way;
+// only the selected components are copied. The result follows longobj's
+// scratch contract (valid until the next read on this model).
+func (m *direct) read(i int, want func(tag uint8, idx int) bool) ([]longobj.Component, error) {
+	if m.partial {
+		comps, _, err := m.objs.ReadParts(m.addr[i], want)
+		return comps, err
+	}
+	return m.objs.ReadAllShared(m.addr[i], want)
 }
 
 // FetchByAddress implements Model (query 1a): direct models resolve the
@@ -95,19 +113,29 @@ func (m *direct) FetchByAddress(i int) (*cobench.Station, error) {
 // FetchByKey implements Model (query 1b): a value selection has no address
 // to go by, so the whole relation is scanned — every object is read and
 // its key compared (the paper estimates the full m pages for this query,
-// set-oriented selection without early termination).
+// set-oriented selection without early termination). Only the root key
+// of each object is decoded; the other components are validated without
+// being materialized (componentsKey), so the scan fails on exactly the
+// corrupt objects a full decode fails on. The match is decoded in full
+// right away, before the next read reuses the scratch it lives in.
 func (m *direct) FetchByKey(key int32) (*cobench.Station, error) {
 	if len(m.addr) == 0 {
 		return nil, ErrNotLoaded
 	}
 	var found *cobench.Station
 	for i := range m.addr {
-		s, err := m.fetch(i)
+		comps, err := m.objs.ReadAllShared(m.addr[i], nil)
 		if err != nil {
 			return nil, err
 		}
-		if s.Key == key {
-			found = s
+		k, err := componentsKey(comps)
+		if err != nil {
+			return nil, err
+		}
+		if k == key {
+			if found, err = DecodeComponents(comps); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if found == nil {
@@ -137,19 +165,12 @@ func (m *direct) ScanAll(fn func(i int, s *cobench.Station) error) error {
 // the header plus only the pages holding the root record and the platform
 // components ("Since the Sightseeing sub-objects are not used in query 2
 // and 3, we only need to retrieve the header page and a single data page").
+// Either way only the root and platform components are copied and decoded.
 func (m *direct) Navigate(i int) (cobench.RootRecord, []int32, error) {
 	if err := checkIndex(i, len(m.addr)); err != nil {
 		return cobench.RootRecord{}, nil, err
 	}
-	var comps []longobj.Component
-	var err error
-	if m.partial {
-		comps, _, err = m.objs.ReadParts(m.addr[i], func(tag uint8, _ int) bool {
-			return tag == TagRoot || tag == TagPlatform
-		})
-	} else {
-		comps, err = m.objs.ReadAllShared(m.addr[i])
-	}
+	comps, err := m.read(i, wantNavigate)
 	if err != nil {
 		return cobench.RootRecord{}, nil, err
 	}
@@ -174,33 +195,19 @@ func (m *direct) Navigate(i int) (cobench.RootRecord, []int32, error) {
 }
 
 // ReadRoot implements Model. DSM again pays the full object; DASDBS-DSM
-// reads header + the root record's page only.
+// reads header + the root record's page only. Both copy only the root.
 func (m *direct) ReadRoot(i int) (cobench.RootRecord, error) {
 	if err := checkIndex(i, len(m.addr)); err != nil {
 		return cobench.RootRecord{}, err
 	}
-	if m.partial {
-		comps, _, err := m.objs.ReadParts(m.addr[i], func(tag uint8, _ int) bool {
-			return tag == TagRoot
-		})
-		if err != nil {
-			return cobench.RootRecord{}, err
-		}
-		if len(comps) != 1 {
-			return cobench.RootRecord{}, fmt.Errorf("store: object %d has %d root components", i, len(comps))
-		}
-		return DecodeRoot(comps[0].Data)
-	}
-	comps, err := m.objs.ReadAllShared(m.addr[i])
+	comps, err := m.read(i, wantRoot)
 	if err != nil {
 		return cobench.RootRecord{}, err
 	}
-	for _, c := range comps {
-		if c.Tag == TagRoot {
-			return DecodeRoot(c.Data)
-		}
+	if len(comps) != 1 {
+		return cobench.RootRecord{}, fmt.Errorf("store: object %d has %d root components", i, len(comps))
 	}
-	return cobench.RootRecord{}, fmt.Errorf("store: object %d lost its root", i)
+	return DecodeRoot(comps[0].Data)
 }
 
 // UpdateRoots implements Model.
@@ -219,9 +226,7 @@ func (m *direct) UpdateRoots(idxs []int32, mutate func(i int32, r *cobench.RootR
 			return err
 		}
 		if m.partial {
-			comps, cidx, err := m.objs.ReadParts(m.addr[i], func(tag uint8, _ int) bool {
-				return tag == TagRoot
-			})
+			comps, cidx, err := m.objs.ReadParts(m.addr[i], wantRoot)
 			if err != nil {
 				return err
 			}
@@ -242,7 +247,7 @@ func (m *direct) UpdateRoots(idxs []int32, mutate func(i int32, r *cobench.RootR
 			}
 			continue
 		}
-		comps, err := m.objs.ReadAllShared(m.addr[i])
+		comps, err := m.objs.ReadAllShared(m.addr[i], nil)
 		if err != nil {
 			return err
 		}

@@ -184,7 +184,7 @@ func (m *dnsm) storeFor(slot int) *longobj.Store {
 
 // readTuple fetches the single nested tuple behind a ref.
 func (m *dnsm) readTuple(slot, i int) ([]byte, error) {
-	comps, err := m.storeFor(slot).ReadAllShared(m.refs[i][slot])
+	comps, err := m.storeFor(slot).ReadAllShared(m.refs[i][slot], nil)
 	if err != nil {
 		return nil, err
 	}
@@ -373,7 +373,10 @@ func (m *dnsm) ScanAll(fn func(i int, s *cobench.Station) error) error {
 // Navigate implements Model: the root tuple plus the object's single
 // nested connection tuple. Platform and sightseeing relations stay
 // untouched, which is why "the results for query 2b ... are independent of
-// the number of Sightseeings" (§5.3).
+// the number of Sightseeings" (§5.3). Only the OidConnection LINKs are
+// projected out of the connection tuple, over VisitRel; each group is
+// first validated with Check, so exactly the encodings that decoding the
+// groups would reject still fail, without building any tuples.
 func (m *dnsm) Navigate(i int) (cobench.RootRecord, []int32, error) {
 	if err := checkIndex(i, len(m.refs)); err != nil {
 		return cobench.RootRecord{}, nil, err
@@ -386,16 +389,24 @@ func (m *dnsm) Navigate(i int) (cobench.RootRecord, []int32, error) {
 	if err != nil {
 		return cobench.RootRecord{}, nil, err
 	}
-	// Project only the LINK attributes out of the nested tuple.
-	groups, err := dnsmConnectionType.DecodeAttr(coRec, 1)
+	groupElem := dnsmConnectionType.Attrs[1].Type.Elem
+	connElem := groupElem.Attrs[1].Type.Elem
+	var children []int32
+	err = dnsmConnectionType.VisitRel(coRec, 1, func(_, _ int, group []byte) error {
+		if err := groupElem.Check(group); err != nil {
+			return err
+		}
+		return groupElem.VisitRel(group, 1, func(_, _ int, conn []byte) error {
+			v, err := connElem.DecodeAttr(conn, 2)
+			if err != nil {
+				return err
+			}
+			children = append(children, v.Int())
+			return nil
+		})
+	})
 	if err != nil {
 		return cobench.RootRecord{}, nil, err
-	}
-	var children []int32
-	for _, group := range groups.Tuples() {
-		for _, ct := range group.Vals[1].Tuples() {
-			children = append(children, ct.Vals[2].Int())
-		}
 	}
 	return root, children, nil
 }

@@ -1,11 +1,15 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"complexobj/cobench"
+	"complexobj/nf2"
 )
 
 // testExtension returns a small deterministic benchmark extension.
@@ -93,6 +97,73 @@ func TestFetchByKeyAllModels(t *testing.T) {
 	}
 }
 
+// The direct models' value selection decodes only keys while scanning and
+// the match in full: the answer is exactly the object fetched by address.
+func TestDirectFetchByKeyMatchesFetchByAddress(t *testing.T) {
+	stations := testExtension(t, 40)
+	for _, k := range []Kind{DSM, DASDBSDSM} {
+		m := loadModel(t, k, stations)
+		for i := range stations {
+			byKey, err := m.FetchByKey(cobench.KeyOf(i))
+			if err != nil {
+				t.Fatalf("%s FetchByKey(%d): %v", k, i, err)
+			}
+			byAddr, err := m.FetchByAddress(i)
+			if err != nil {
+				t.Fatalf("%s FetchByAddress(%d): %v", k, i, err)
+			}
+			if !reflect.DeepEqual(byKey, byAddr) {
+				t.Fatalf("%s station %d: FetchByKey and FetchByAddress differ", k, i)
+			}
+		}
+	}
+}
+
+// A corrupt component of an object the selection does not match still
+// fails the scan, as it did when every scanned object was decoded in full.
+func TestDirectFetchByKeyFailsOnCorruptNonMatch(t *testing.T) {
+	stations := testExtension(t, 40)
+	victim := -1
+	for i, s := range stations {
+		if len(s.Seeings) > 0 {
+			victim = i
+			break
+		}
+	}
+	if victim < 0 {
+		t.Fatal("no station with sightseeings")
+	}
+	target := (victim + 1) % len(stations)
+	for _, k := range []Kind{DSM, DASDBSDSM} {
+		m := loadModel(t, k, stations)
+		d := m.(*direct)
+		comps, err := d.objs.ReadAll(d.addr[victim])
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx := -1
+		for ci, c := range comps {
+			if c.Tag == TagSightseeing {
+				idx = ci
+				break
+			}
+		}
+		// Claim a Description longer than its declared capacity.
+		bad := bytes.Clone(comps[idx].Data)
+		off := binary.BigEndian.Uint16(bad[2+2*cobench.SeDescription:])
+		binary.BigEndian.PutUint16(bad[off:], cobench.StrSize+1)
+		if _, err := d.objs.ChangeComponent(d.addr[victim], idx, bad); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.FetchByKey(cobench.KeyOf(target)); !errors.Is(err, nf2.ErrCorrupt) {
+			t.Errorf("%s FetchByKey over a corrupt non-matching object: err = %v, want nf2.ErrCorrupt", k, err)
+		}
+		if _, err := m.FetchByAddress(target); err != nil {
+			t.Errorf("%s FetchByAddress of the intact target: %v", k, err)
+		}
+	}
+}
+
 func TestScanAllAllModels(t *testing.T) {
 	stations := testExtension(t, 60)
 	for _, k := range AllKinds() {
@@ -137,6 +208,19 @@ func TestNavigateAllModels(t *testing.T) {
 					if children[j] != wantKids[j] {
 						t.Fatalf("Navigate(%d) child %d = %d, want %d", i, j, children[j], wantKids[j])
 					}
+				}
+				// Navigation projects the children out of the stored
+				// object; the object assembled from the same pages must
+				// agree.
+				if k == NSM {
+					continue
+				}
+				assembled, err := m.FetchByAddress(i)
+				if err != nil {
+					t.Fatalf("FetchByAddress(%d): %v", i, err)
+				}
+				if !reflect.DeepEqual(children, assembled.Children()) {
+					t.Fatalf("Navigate(%d) children %v, assembled station's %v", i, children, assembled.Children())
 				}
 			}
 		})

@@ -150,6 +150,98 @@ func (tt *TupleType) Decode(buf []byte) (Tuple, error) {
 	return t, nil
 }
 
+// Check validates the encoded tuple at the start of buf exactly as Decode
+// does — the same bounds and string-length checks, in the same order —
+// without materializing anything: it returns nil exactly when Decode
+// would succeed, and otherwise the error Decode would return. A valid
+// encoding is checked with zero allocations, so read paths that must not
+// miss a corrupt encoding can validate the components they do not decode.
+func (tt *TupleType) Check(buf []byte) error {
+	for i, a := range tt.Attrs {
+		tuple, off, err := tt.payload(buf, i)
+		if err != nil {
+			return err
+		}
+		if a.Type.Kind != Rel {
+			continue
+		}
+		count := int(binary.BigEndian.Uint16(tuple[off:]))
+		for j := 0; j < count; j++ {
+			elem, err := tt.relElem(tuple, i, off, count, j)
+			if err != nil {
+				return err
+			}
+			if err := a.Type.Elem.Check(elem); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// payload validates the tuple's length header and offset directory and
+// the bounds of attribute i's payload (for strings also the stored
+// length, for relations the count and element directory). It returns the
+// tuple trimmed to its encoded length and the payload's offset in it.
+// Every reader of an encoded attribute goes through here, so DecodeAttr,
+// VisitRel and Check reject exactly the same encodings.
+func (tt *TupleType) payload(buf []byte, i int) ([]byte, int, error) {
+	if i < 0 || i >= len(tt.Attrs) {
+		return nil, 0, fmt.Errorf("nf2: attribute %d out of range for %s", i, tt.Name)
+	}
+	total, err := EncodedLen(buf)
+	if err != nil {
+		return nil, 0, err
+	}
+	buf = buf[:total]
+	need := 2 + 2*len(tt.Attrs)
+	if total < need {
+		return nil, 0, fmt.Errorf("%w: %s directory truncated", ErrCorrupt, tt.Name)
+	}
+	off := int(binary.BigEndian.Uint16(buf[2+2*i:]))
+	a := tt.Attrs[i]
+	if off < need || off > total {
+		return nil, 0, fmt.Errorf("%w: %s.%s offset %d", ErrCorrupt, tt.Name, a.Name, off)
+	}
+	switch a.Type.Kind {
+	case Int, Link:
+		if off+4 > total {
+			return nil, 0, fmt.Errorf("%w: %s.%s int payload", ErrCorrupt, tt.Name, a.Name)
+		}
+	case String:
+		if off+2+a.Type.Size > total {
+			return nil, 0, fmt.Errorf("%w: %s.%s string payload", ErrCorrupt, tt.Name, a.Name)
+		}
+		if n := int(binary.BigEndian.Uint16(buf[off:])); n > a.Type.Size {
+			return nil, 0, fmt.Errorf("%w: %s.%s string length %d > %d",
+				ErrCorrupt, tt.Name, a.Name, n, a.Type.Size)
+		}
+	case Rel:
+		if off+2 > total {
+			return nil, 0, fmt.Errorf("%w: %s.%s rel count", ErrCorrupt, tt.Name, a.Name)
+		}
+		count := int(binary.BigEndian.Uint16(buf[off:]))
+		if off+2+2*count > total {
+			return nil, 0, fmt.Errorf("%w: %s.%s rel directory", ErrCorrupt, tt.Name, a.Name)
+		}
+	default:
+		return nil, 0, fmt.Errorf("nf2: unknown kind %v", a.Type.Kind)
+	}
+	return buf, off, nil
+}
+
+// relElem returns the encoding of element j (of count) of the relation
+// payload at off in tuple (as returned by payload for attribute i),
+// validating its directory entry.
+func (tt *TupleType) relElem(tuple []byte, i, off, count, j int) ([]byte, error) {
+	rel := int(binary.BigEndian.Uint16(tuple[off+2+2*j:]))
+	subOff := off + rel
+	if rel < 2+2*count || subOff >= len(tuple) {
+		return nil, fmt.Errorf("%w: %s.%s[%d] offset", ErrCorrupt, tt.Name, tt.Attrs[i].Name, j)
+	}
+	return tuple[subOff:], nil
+}
+
 // VisitRel iterates the elements of Rel attribute i without materializing
 // any tuples: fn is invoked once per element with its index, the element
 // count and the element's encoded bytes (aliasing buf — valid only during
@@ -165,34 +257,17 @@ func (tt *TupleType) VisitRel(buf []byte, i int, fn func(j, n int, elem []byte) 
 	if a.Type.Kind != Rel {
 		return fmt.Errorf("nf2: %s.%s is not a relation attribute", tt.Name, a.Name)
 	}
-	total, err := EncodedLen(buf)
+	tuple, off, err := tt.payload(buf, i)
 	if err != nil {
 		return err
 	}
-	buf = buf[:total]
-	need := 2 + 2*len(tt.Attrs)
-	if total < need {
-		return fmt.Errorf("%w: %s directory truncated", ErrCorrupt, tt.Name)
-	}
-	off := int(binary.BigEndian.Uint16(buf[2+2*i:]))
-	if off < need || off > total {
-		return fmt.Errorf("%w: %s.%s offset %d", ErrCorrupt, tt.Name, a.Name, off)
-	}
-	if off+2 > total {
-		return fmt.Errorf("%w: %s.%s rel count", ErrCorrupt, tt.Name, a.Name)
-	}
-	count := int(binary.BigEndian.Uint16(buf[off:]))
-	dir := off + 2
-	if dir+2*count > total {
-		return fmt.Errorf("%w: %s.%s rel directory", ErrCorrupt, tt.Name, a.Name)
-	}
+	count := int(binary.BigEndian.Uint16(tuple[off:]))
 	for j := 0; j < count; j++ {
-		rel := int(binary.BigEndian.Uint16(buf[dir+2*j:]))
-		subOff := off + rel
-		if rel < 2+2*count || subOff >= total {
-			return fmt.Errorf("%w: %s.%s[%d] offset", ErrCorrupt, tt.Name, a.Name, j)
+		elem, err := tt.relElem(tuple, i, off, count, j)
+		if err != nil {
+			return err
 		}
-		if err := fn(j, count, buf[subOff:]); err != nil {
+		if err := fn(j, count, elem); err != nil {
 			return err
 		}
 	}
@@ -205,67 +280,31 @@ func (tt *TupleType) VisitRel(buf []byte, i int, fn func(j, n int, elem []byte) 
 // projected/selected" (§2.2): storage models use it to read single
 // attributes (e.g. the child references) without materializing the rest.
 func (tt *TupleType) DecodeAttr(buf []byte, i int) (Value, error) {
-	if i < 0 || i >= len(tt.Attrs) {
-		return Value{}, fmt.Errorf("nf2: attribute %d out of range for %s", i, tt.Name)
-	}
-	total, err := EncodedLen(buf)
+	tuple, off, err := tt.payload(buf, i)
 	if err != nil {
 		return Value{}, err
 	}
-	buf = buf[:total]
-	need := 2 + 2*len(tt.Attrs)
-	if total < need {
-		return Value{}, fmt.Errorf("%w: %s directory truncated", ErrCorrupt, tt.Name)
-	}
-	off := int(binary.BigEndian.Uint16(buf[2+2*i:]))
-	if off < need || off > total {
-		return Value{}, fmt.Errorf("%w: %s.%s offset %d", ErrCorrupt, tt.Name, tt.Attrs[i].Name, off)
-	}
 	a := tt.Attrs[i]
 	switch a.Type.Kind {
-	case Int, Link:
-		if off+4 > total {
-			return Value{}, fmt.Errorf("%w: %s.%s int payload", ErrCorrupt, tt.Name, a.Name)
-		}
-		v := int32(binary.BigEndian.Uint32(buf[off:]))
-		if a.Type.Kind == Link {
-			return LinkValue(v), nil
-		}
-		return IntValue(v), nil
+	case Int:
+		return IntValue(int32(binary.BigEndian.Uint32(tuple[off:]))), nil
+	case Link:
+		return LinkValue(int32(binary.BigEndian.Uint32(tuple[off:]))), nil
 	case String:
-		if off+2+a.Type.Size > total {
-			return Value{}, fmt.Errorf("%w: %s.%s string payload", ErrCorrupt, tt.Name, a.Name)
-		}
-		n := int(binary.BigEndian.Uint16(buf[off:]))
-		if n > a.Type.Size {
-			return Value{}, fmt.Errorf("%w: %s.%s string length %d > %d",
-				ErrCorrupt, tt.Name, a.Name, n, a.Type.Size)
-		}
-		return StringValue(string(buf[off+2 : off+2+n])), nil
-	case Rel:
-		if off+2 > total {
-			return Value{}, fmt.Errorf("%w: %s.%s rel count", ErrCorrupt, tt.Name, a.Name)
-		}
-		count := int(binary.BigEndian.Uint16(buf[off:]))
-		dir := off + 2
-		if dir+2*count > total {
-			return Value{}, fmt.Errorf("%w: %s.%s rel directory", ErrCorrupt, tt.Name, a.Name)
-		}
+		n := int(binary.BigEndian.Uint16(tuple[off:]))
+		return StringValue(string(tuple[off+2 : off+2+n])), nil
+	default: // Rel; payload rejects unknown kinds
+		count := int(binary.BigEndian.Uint16(tuple[off:]))
 		subs := make([]Tuple, count)
-		for j := 0; j < count; j++ {
-			rel := int(binary.BigEndian.Uint16(buf[dir+2*j:]))
-			subOff := off + rel
-			if rel < 2+2*count || subOff >= total {
-				return Value{}, fmt.Errorf("%w: %s.%s[%d] offset", ErrCorrupt, tt.Name, a.Name, j)
-			}
-			sub, err := a.Type.Elem.Decode(buf[subOff:])
+		for j := range subs {
+			elem, err := tt.relElem(tuple, i, off, count, j)
 			if err != nil {
 				return Value{}, err
 			}
-			subs[j] = sub
+			if subs[j], err = a.Type.Elem.Decode(elem); err != nil {
+				return Value{}, err
+			}
 		}
 		return RelValue(subs), nil
-	default:
-		return Value{}, fmt.Errorf("nf2: unknown kind %v", a.Type.Kind)
 	}
 }
