@@ -6,7 +6,7 @@
 //	cobench [-model all|dsm|ddsm|nsm|nsmx|dnsm] [-query all|1a|1b|1c|2a|2b|3a|3b]
 //	        [-n 1500] [-buffer 1200] [-loops 300] [-samples 40] [-seed 1993]
 //	        [-skew] [-maxseeing 15] [-metric pages|calls|fixes|writes]
-//	        [-workers 0] [-backend mem|file|file:DIR|cow] [-db snapshot.codb]
+//	        [-workers 0] [-backend mem|cow] [-db snapshot.codb]
 //	        [-repeat 1] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	        [-serve-url http://host:8077] [-clients 8] [-rate 0]
 //	        [-faults SPEC] [-report out.json] [-write-frac 0]
@@ -93,7 +93,7 @@ func main() {
 		maxSeeing = flag.Int("maxseeing", 15, "maximum sightseeings per station")
 		metric    = flag.String("metric", "pages", "reported metric: pages, calls, fixes or writes")
 		workers   = flag.Int("workers", 0, "concurrent model workers (0 = GOMAXPROCS, 1 = serial)")
-		backend   = flag.String("backend", "mem", "device backend: mem, file, file:DIR or cow")
+		backend   = flag.String("backend", "mem", "device backend: mem or cow")
 		dbPath    = flag.String("db", "", "restore models from this cogen-built .codb snapshot instead of generating")
 		repeat    = flag.Int("repeat", 1, "measure the full table this many times (deterministic; printed once)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")

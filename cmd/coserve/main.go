@@ -29,14 +29,15 @@
 // successful responses.
 //
 // -wal DIR arms the durable commit path: served bases open from the
-// directory's checkpoint sidecars (the snapshot seeds the first start),
-// the write-ahead log replays on startup, and /run requests carrying
+// directory's per-model checkpoints, DIR/<model>.codb (single-model
+// snapshots; the -db snapshot seeds the first start), the write-ahead
+// log replays on startup, and /run requests carrying
 // commit=1 fold their update-query mutations into the served base — the
 // response is written only after the fsync acknowledged the batch. A
 // kill -9 at any point recovers to exactly the last acknowledged commit.
 // -checkpoint-mb compacts the log whenever it outgrows that size (0:
-// never). Read-path counters are unaffected: a -wal server measures
-// bit-identically to a read-only one.
+// never) by rewriting those checkpoints. Read-path counters are
+// unaffected: a -wal server measures bit-identically to a read-only one.
 //
 // -shard-map makes the process one backend of a scale-out deployment
 // (cogen -split built the map and the per-shard .codb segments): it

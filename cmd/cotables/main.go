@@ -7,7 +7,7 @@
 //	cotables [-format text|markdown|csv] [-out DIR]
 //	         [-n 1500] [-buffer 1200] [-loops 300] [-seed 1993] [-clock]
 //	         [-only table4,fig6] [-list] [-workers 0]
-//	         [-backend mem|file|file:DIR|cow] [-db snapshot.codb]
+//	         [-backend mem|cow] [-db snapshot.codb]
 //	         [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	         [-faults SPEC]
 //
@@ -76,7 +76,7 @@ func run() error {
 		list    = flag.Bool("list", false, "print every section title -only can match, then exit")
 		charts  = flag.Bool("charts", false, "append ASCII charts of Figures 5 and 6")
 		workers = flag.Int("workers", 0, "concurrent workers for the measurement matrix and sweeps (0 = GOMAXPROCS, 1 = serial)")
-		backend = flag.String("backend", "mem", "device backend: mem, file, file:DIR or cow (cells share frozen bases copy-on-write)")
+		backend = flag.String("backend", "mem", "device backend: mem or cow (cells share frozen bases copy-on-write)")
 		dbPath  = flag.String("db", "", "open this cogen-built .codb snapshot for the default-extension models instead of regenerating")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")

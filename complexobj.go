@@ -109,12 +109,11 @@ type Options struct {
 	// for the quantified effect.
 	CountIndexIO bool
 	// Backend selects where the simulated device keeps its page images:
-	// "" or "mem" for the in-memory arena (default), "file" for an arena
-	// file in the OS temp directory, "file:DIR" for an arena file in DIR,
-	// or "cow" for a copy-on-write overlay arena (reads shared through an
-	// immutable base where one exists — see OpenBase and DB.Freeze — and
-	// private page copies for writes). The backend changes only where the
-	// bytes live; the measured counters are bit-identical across backends.
+	// "" or "mem" for the in-memory arena (default), or "cow" for a
+	// copy-on-write overlay arena (reads shared through an immutable base
+	// where one exists — see OpenBase and DB.Freeze — and private page
+	// copies for writes). The backend changes only where the bytes live;
+	// the measured counters are bit-identical across backends.
 	Backend string
 	// Faults, when non-nil, injects the plan's seeded fault schedule
 	// under every engine opened with these options (see ParseFaultPlan).
@@ -166,10 +165,6 @@ func (s Stats) Calls() int64 { return s.ReadCalls + s.WriteCalls }
 type DB struct {
 	kind  ModelKind
 	model store.Model
-	// persistDir, when set, is the directory an OpenPersistent database
-	// lives in; Close writes the meta sidecar there before releasing the
-	// backend.
-	persistDir string
 }
 
 // Open creates an empty database under the given storage model and
@@ -207,19 +202,10 @@ func OpenLoaded(kind ModelKind, opts Options, gen cobench.Config) (*DB, error) {
 // Kind returns the database's storage model.
 func (db *DB) Kind() ModelKind { return db.kind }
 
-// Close flushes dirty pages and releases the storage backend (unmapping
-// and, for anonymous file arenas, deleting the arena file). A persistent
-// database (OpenPersistent) additionally records its directory metadata
-// in the meta sidecar so the next open restores it. The database must
-// not be used afterwards. Close is a no-op for repeated calls only in
-// the sense that errors repeat; call it once.
+// Close flushes dirty pages and releases the storage backend. The
+// database must not be used afterwards. Close is a no-op for repeated
+// calls only in the sense that errors repeat; call it once.
 func (db *DB) Close() error {
-	if db.persistDir != "" {
-		if err := db.writePersistentMeta(); err != nil {
-			db.model.Engine().Close()
-			return err
-		}
-	}
 	return db.model.Engine().Close()
 }
 
@@ -348,14 +334,13 @@ func (b *Base) Mapped() bool { return b.base.Mapped() }
 func (b *Base) Close() error { return b.base.Release() }
 
 // Open builds a database over a fresh copy-on-write view of the base.
-// opts.Backend must be empty, "mem" (the parse default, treated the
-// same) or "cow" — a view's substrate is by definition the COW overlay,
-// so file backends are rejected; opts.CountIndexIO is rejected, like for
-// snapshots, because counted indexes are rebuilt per run. The view starts
-// with a cold cache and zeroed counters and measures bit-identically to a
-// freshly loaded database.
+// opts.Backend may be empty, "mem" or "cow" — a view's substrate is by
+// definition the COW overlay, whichever is named; opts.CountIndexIO is
+// rejected, like for snapshots, because counted indexes are rebuilt per
+// run. The view starts with a cold cache and zeroed counters and measures
+// bit-identically to a freshly loaded database.
 func (b *Base) Open(opts Options) (*DB, error) {
-	so, err := b.viewOptions(opts)
+	so, err := opts.internal()
 	if err != nil {
 		return nil, err
 	}
@@ -370,6 +355,10 @@ func (b *Base) Open(opts Options) (*DB, error) {
 type SnapshotInfo struct {
 	// Gen is the generator configuration the snapshot was built from.
 	Gen cobench.Config
+	// Seq is the last write-ahead-log commit the snapshot includes: 0
+	// for WriteSnapshot and SeedCommitDir output, the log's watermark for
+	// a CommitLog checkpoint.
+	Seq uint64
 	// Models lists the stored storage models in file order.
 	Models []ModelKind
 	// PageSize is the device page size of the stored models.
@@ -382,7 +371,7 @@ func StatSnapshot(path string) (SnapshotInfo, error) {
 	if err != nil {
 		return SnapshotInfo{}, err
 	}
-	out := SnapshotInfo{Gen: info.Gen, PageSize: info.PageSize}
+	out := SnapshotInfo{Gen: info.Gen, Seq: info.Seq, PageSize: info.PageSize}
 	for _, k := range info.Kinds {
 		for _, mk := range AllModels() {
 			if mk.internal() == k {

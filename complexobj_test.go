@@ -341,9 +341,9 @@ func TestBaseFacade(t *testing.T) {
 		t.Error("sibling view observes writer's update")
 	}
 
-	// File backends cannot be views of a base.
+	// Only mem and cow name a backend; anything else is refused.
 	if _, err := base.Open(Options{Backend: "file"}); err == nil {
-		t.Error("file backend accepted for a base view")
+		t.Error("unknown backend accepted for a base view")
 	}
 
 	// Snapshot round trip through both cow restore paths.

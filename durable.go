@@ -3,19 +3,20 @@ package complexobj
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 
-	"complexobj/internal/disk"
+	"complexobj/cobench"
 	"complexobj/internal/snapshot"
 	"complexobj/internal/store"
 	"complexobj/internal/wal"
 )
 
-// modelKindOf maps a store kind byte (as recorded in WAL commit markers
-// and sidecar files) back to the facade enum.
+// modelKindOf maps a store kind byte (as recorded in WAL commit markers)
+// back to the facade enum.
 func modelKindOf(k store.Kind) (ModelKind, bool) {
 	for _, mk := range AllModels() {
 		if mk.internal() == k {
@@ -25,103 +26,18 @@ func modelKindOf(k store.Kind) (ModelKind, bool) {
 	return 0, false
 }
 
-// OpenPersistent opens — creating if absent — a single-model database
-// persisted in dir without going through a .codb export: the simulated
-// device lives in dir/<slug>.arena (adopted by the file backend across
-// runs) and the model's directory metadata in dir/<slug>.meta, written
-// on Close. A database that existed is reopened with its full contents,
-// a cold cache and zeroed counters; a fresh one starts empty, ready for
-// Load. opts.Backend must be empty or "file" (the location is implied by
-// dir). Durability here is at Close granularity — crash-safe commits are
-// the CommitLog's job.
-func OpenPersistent(dir string, kind ModelKind, opts Options) (*DB, error) {
-	if opts.Backend != "" && opts.Backend != "file" {
-		return nil, fmt.Errorf("complexobj: persistent database in %s cannot use backend %q", dir, opts.Backend)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("complexobj: persistent dir: %w", err)
-	}
-	opts.Backend = ""
-	so, err := opts.internal()
-	if err != nil {
-		return nil, err
-	}
-	arenaPath, _ := snapshot.SidecarPaths(dir, kind.internal())
-	so.Backend = disk.BackendSpec{Kind: disk.FileArena, Path: arenaPath}
-
-	info, meta, err := snapshot.ReadSidecar(dir, kind.internal())
-	switch {
-	case err == nil:
-		if info.Kind != kind.internal() {
-			return nil, fmt.Errorf("complexobj: %s holds %s, want %s", dir, info.Kind, kind)
-		}
-		if so.PageSize != 0 && so.PageSize != info.PageSize {
-			return nil, fmt.Errorf("complexobj: page size %d requested, %s persisted with %d", so.PageSize, dir, info.PageSize)
-		}
-		so.PageSize = info.PageSize
-		eng, err := store.NewEngine(so)
-		if err != nil {
-			return nil, err
-		}
-		if got := eng.Dev.NumPages(); got < info.NumPages {
-			eng.Close()
-			return nil, fmt.Errorf("complexobj: arena %s has %d pages, sidecar recorded %d", arenaPath, got, info.NumPages)
-		}
-		m := store.NewWithEngine(kind.internal(), eng)
-		if err := m.RestoreMeta(meta); err != nil {
-			eng.Close()
-			return nil, fmt.Errorf("complexobj: restore %s from %s: %w", kind, dir, err)
-		}
-		if err := eng.ColdCache(); err != nil {
-			eng.Close()
-			return nil, err
-		}
-		eng.ResetStats()
-		return &DB{kind: kind, model: m, persistDir: dir}, nil
-	case os.IsNotExist(err):
-		m, err := store.New(kind.internal(), so)
-		if err != nil {
-			return nil, err
-		}
-		return &DB{kind: kind, model: m, persistDir: dir}, nil
-	default:
-		return nil, err
-	}
-}
-
-// writePersistentMeta records the database's current state in its meta
-// sidecar (the arena file is the engine's own backend, flushed and
-// truncated to size by the engine Close that follows).
-func (db *DB) writePersistentMeta() error {
-	if err := db.model.Flush(); err != nil {
-		return err
-	}
-	meta, err := db.model.SnapshotMeta()
-	if err != nil {
-		return err
-	}
-	dev := db.model.Engine().Dev
-	return snapshot.WriteSidecarMeta(db.persistDir, db.kind.internal(),
-		dev.PageSize(), dev.NumPages(), 0, 0, meta)
-}
-
-// SeedCommitDir writes each database's current state into dir as
-// checkpoint sidecars (watermark 0), seeding a commit-log directory so a
-// server can start durable serving there without carrying a .codb
-// fallback. The databases keep working afterwards (their dirty pages are
-// flushed as a side effect, like WriteSnapshot).
-func SeedCommitDir(dir string, dbs ...*DB) error {
+// SeedCommitDir writes each database's current state into dir as its
+// checkpoint — a single-model .codb snapshot DIR/<slug>.codb with WAL
+// watermark 0, recording gen like WriteSnapshot — seeding a commit-log
+// directory so a server can start durable serving there without carrying
+// a .codb fallback. The databases keep working afterwards (their dirty
+// pages are flushed as a side effect, like WriteSnapshot).
+func SeedCommitDir(dir string, gen cobench.Config, dbs ...*DB) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("complexobj: seed commit dir: %w", err)
 	}
 	for _, db := range dbs {
-		base, err := store.Freeze(db.model)
-		if err != nil {
-			return fmt.Errorf("complexobj: seed commit dir: %w", err)
-		}
-		err = snapshot.WriteSidecar(dir, base, 0)
-		base.Release()
-		if err != nil {
+		if err := snapshot.Write(snapshot.CheckpointPath(dir, db.kind.internal()), gen, db.model); err != nil {
 			return fmt.Errorf("complexobj: seed commit dir: %w", err)
 		}
 	}
@@ -133,8 +49,9 @@ func SeedCommitDir(dir string, dbs ...*DB) error {
 var ErrNotRecovered = errors.New("complexobj: commit log not recovered; call Recover first")
 
 // CommitLog is the durable commit path of a serving process: one shared
-// write-ahead log (dir/wal.log) plus per-model checkpoint sidecars, over
-// the bases the process serves from. The lifecycle is
+// write-ahead log (dir/wal.log) plus one checkpoint per model — a
+// single-model .codb snapshot dir/<slug>.codb carrying the log watermark
+// it includes — over the bases the process serves from. The lifecycle is
 //
 //	clog, _ := OpenCommitLog(dir)
 //	base, _ := clog.OpenBase(kind, fallbackSnapshot) // per model
@@ -144,9 +61,9 @@ var ErrNotRecovered = errors.New("complexobj: commit log not recovered; call Rec
 //	clog.Checkpoint()                                // compact the log
 //
 // Recover replays every committed batch in the log over the registered
-// bases — the sidecar state plus the replayed batches is exactly the
-// last group-committed generation; torn tails and uncommitted batches
-// are truncated by the log itself. Commits and checkpoints may run
+// bases — the checkpointed state plus the replayed batches is exactly
+// the last group-committed generation; torn tails and uncommitted
+// batches are truncated by the log itself. Commits and checkpoints may run
 // concurrently (checkpoints exclude commits for their duration); commits
 // to one base must be serialized by the caller, like View.Commit says.
 //
@@ -161,11 +78,12 @@ type CommitLog struct {
 	mu        sync.Mutex // registration, recovery, stats
 	log       *wal.Log   // nil until Recover
 	bases     map[ModelKind]*Base
-	seqFloor  uint64 // max checkpoint watermark across registered sidecars
-	recovered int64  // batches replayed by Recover
+	gens      map[ModelKind]cobench.Config // generator config each checkpoint records
+	seqFloor  uint64                       // max checkpoint watermark across registered bases
+	recovered int64                        // batches replayed by Recover
 
 	// ckpt excludes commits while a checkpoint captures the bases and
-	// truncates the log — a commit landing between a sidecar write and
+	// truncates the log — a commit landing between a checkpoint write and
 	// the truncation would otherwise be lost.
 	ckpt        sync.RWMutex
 	checkpoints atomic.Int64
@@ -184,7 +102,7 @@ func OpenCommitLog(dir string) (*CommitLog, error) {
 	if err != nil {
 		return nil, fmt.Errorf("complexobj: open wal: %w", err)
 	}
-	return &CommitLog{dir: dir, file: f, bases: make(map[ModelKind]*Base)}, nil
+	return &CommitLog{dir: dir, file: f, bases: make(map[ModelKind]*Base), gens: make(map[ModelKind]cobench.Config)}, nil
 }
 
 // Dir returns the commit log's directory.
@@ -192,9 +110,10 @@ func (c *CommitLog) Dir() string { return c.dir }
 
 // OpenBase opens the model's durable state from the log's directory and
 // registers it for recovery, commits and checkpoints: the checkpoint
-// sidecar when one exists, else the fallback .codb snapshot (the seed
-// for a directory that has never checkpointed; empty snapshotPath makes
-// a missing sidecar an error). Must be called before Recover.
+// dir/<slug>.codb when one exists, else the fallback .codb snapshot (the
+// seed for a directory that has never checkpointed; empty snapshotPath
+// makes a missing checkpoint an error). Either file is mmap'ed like any
+// snapshot (snapshot.OpenBase). Must be called before Recover.
 func (c *CommitLog) OpenBase(kind ModelKind, snapshotPath string) (*Base, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -204,25 +123,28 @@ func (c *CommitLog) OpenBase(kind ModelKind, snapshotPath string) (*Base, error)
 	if _, dup := c.bases[kind]; dup {
 		return nil, fmt.Errorf("complexobj: model %s registered twice", kind)
 	}
-	sb, info, err := snapshot.OpenSidecarBase(c.dir, kind.internal())
-	switch {
-	case err == nil:
-		if info.Seq > c.seqFloor {
-			c.seqFloor = info.Seq
-		}
-	case os.IsNotExist(err):
+	path := snapshot.CheckpointPath(c.dir, kind.internal())
+	info, err := snapshot.Stat(path)
+	if errors.Is(err, fs.ErrNotExist) {
 		if snapshotPath == "" {
 			return nil, fmt.Errorf("complexobj: no checkpoint for %s in %s and no seed snapshot", kind, c.dir)
 		}
-		sb, err = snapshot.OpenBase(snapshotPath, kind.internal())
-		if err != nil {
-			return nil, err
-		}
-	default:
+		path = snapshotPath
+		info, err = snapshot.Stat(path)
+	}
+	if err != nil {
 		return nil, err
+	}
+	sb, err := snapshot.OpenBase(path, kind.internal())
+	if err != nil {
+		return nil, err
+	}
+	if info.Seq > c.seqFloor {
+		c.seqFloor = info.Seq
 	}
 	b := &Base{kind: kind, base: sb}
 	c.bases[kind] = b
+	c.gens[kind] = info.Gen
 	return b, nil
 }
 
@@ -284,10 +206,17 @@ func (c *CommitLog) commit(sv *store.View) (store.CommitResult, error) {
 	return sv.Commit(l)
 }
 
-// Checkpoint captures every registered base into its sidecar pair and
+// Checkpoint captures every registered base into its checkpoint file
+// (a single-model .codb snapshot carrying the log watermark) and
 // truncates the log. Commits are excluded for the duration; in-flight
 // ones finish first. Safe to call at any frequency — the cost is one
 // arena write per model.
+//
+// The files are replaced one at a time, and the log is truncated only
+// after the last one: a crash in between leaves some models on the new
+// checkpoint and the rest on the previous one, all under the full log.
+// Replayed page images are absolute, so recovery from either side lands
+// on the same committed state.
 func (c *CommitLog) Checkpoint() error {
 	l := c.handle()
 	if l == nil {
@@ -298,12 +227,14 @@ func (c *CommitLog) Checkpoint() error {
 	seq := l.LastSeq()
 	c.mu.Lock()
 	bases := make([]*Base, 0, len(c.bases))
-	for _, b := range c.bases {
+	gens := make([]cobench.Config, 0, len(c.bases))
+	for k, b := range c.bases {
 		bases = append(bases, b)
+		gens = append(gens, c.gens[k])
 	}
 	c.mu.Unlock()
-	for _, b := range bases {
-		if err := snapshot.WriteSidecar(c.dir, b.base, seq); err != nil {
+	for i, b := range bases {
+		if err := snapshot.WriteBase(snapshot.CheckpointPath(c.dir, b.kind.internal()), gens[i], seq, b.base); err != nil {
 			return fmt.Errorf("complexobj: checkpoint: %w", err)
 		}
 	}

@@ -308,9 +308,10 @@ func TestCommitLogKillAfterSync(t *testing.T) {
 // TestDurableReadPathCountersBitIdentical pins the acceptance bar of the
 // durable write path: arming the commit log must not move a single
 // read-path paper counter. The full query set measures identically on a
-// plain snapshot restore (mem and file backends), a copy-on-write view
-// of the shared base, a view over a commit-log base — and again after a
-// durable commit has promoted a new generation.
+// plain snapshot restore, a copy-on-write view of the shared base, a view
+// over a commit-log base, again after a durable commit has promoted a new
+// generation — and once more over the .codb checkpoint of that
+// generation, reopened by a fresh commit log.
 func TestDurableReadPathCountersBitIdentical(t *testing.T) {
 	w := cobench.Workload{Loops: 10, Samples: 8, Seed: 1993}
 	queries := cobench.AllQueries()
@@ -343,15 +344,6 @@ func TestDurableReadPathCountersBitIdentical(t *testing.T) {
 			baseline := runAll(t, db.Run)
 			db.Close()
 
-			fdb, err := OpenSnapshot(snap, kind, Options{BufferPages: 128, Backend: "file"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := runAll(t, fdb.Run); !reflect.DeepEqual(got, baseline) {
-				t.Fatalf("file backend diverged:\n got %+v\nwant %+v", got, baseline)
-			}
-			fdb.Close()
-
 			cowBase, err := OpenBase(snap, kind)
 			if err != nil {
 				t.Fatal(err)
@@ -366,7 +358,8 @@ func TestDurableReadPathCountersBitIdentical(t *testing.T) {
 			cdb.Close()
 			cowBase.Close()
 
-			clog, err := OpenCommitLog(t.TempDir())
+			walDir := t.TempDir()
+			clog, err := OpenCommitLog(walDir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -402,6 +395,28 @@ func TestDurableReadPathCountersBitIdentical(t *testing.T) {
 			}
 			if got := runAll(t, v2.Run); !reflect.DeepEqual(got, baseline) {
 				t.Fatalf("post-commit generation diverged:\n got %+v\nwant %+v", got, baseline)
+			}
+
+			if err := clog.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			clog2, err := OpenCommitLog(walDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer clog2.Close()
+			cbase, err := clog2.OpenBase(kind, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cbase.Close()
+			v3, err := cbase.NewView(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer v3.Close()
+			if got := runAll(t, v3.Run); !reflect.DeepEqual(got, baseline) {
+				t.Fatalf("checkpointed generation diverged:\n got %+v\nwant %+v", got, baseline)
 			}
 		})
 	}

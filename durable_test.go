@@ -1,87 +1,17 @@
 package complexobj
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"complexobj/cobench"
+	"complexobj/internal/snapshot"
 )
-
-// TestOpenPersistentRoundTrip pins the persistent-database lifecycle: a
-// database created in a directory, loaded and closed reopens with its
-// full contents, a cold cache and zeroed counters — and without any
-// .codb export in between.
-func TestOpenPersistentRoundTrip(t *testing.T) {
-	stations, err := cobench.Generate(cobench.DefaultConfig().WithN(60))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kind := range AllModels() {
-		t.Run(kind.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			db, err := OpenPersistent(dir, kind, Options{BufferPages: 128})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := db.Load(stations); err != nil {
-				t.Fatal(err)
-			}
-			if err := db.UpdateObject(7, func(s *cobench.Station) error {
-				s.Name = "persisted"
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if err := db.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			re, err := OpenPersistent(dir, kind, Options{BufferPages: 128})
-			if err != nil {
-				t.Fatalf("reopen: %v", err)
-			}
-			defer re.Close()
-			if re.NumObjects() != len(stations) {
-				t.Fatalf("reopened with %d objects, want %d", re.NumObjects(), len(stations))
-			}
-			if s := re.Stats(); s.Calls() != 0 || s.BufferFixes != 0 {
-				t.Fatalf("reopened counters not zero: %+v", s)
-			}
-			got, err := re.FetchByKey(stations[7].Key)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Name != "persisted" {
-				t.Fatalf("update lost across reopen: %q", got.Name)
-			}
-
-			// A conflicting page size is a configuration error, not silent
-			// re-creation.
-			if _, err := OpenPersistent(dir, kind, Options{PageSize: 4096}); err == nil {
-				t.Fatal("conflicting page size accepted")
-			}
-			// Persistence implies the file backend; everything else is
-			// rejected up front.
-			if _, err := OpenPersistent(dir, kind, Options{Backend: "mem"}); err == nil {
-				t.Fatal("mem backend accepted for a persistent database")
-			}
-		})
-	}
-}
-
-// TestOpenPersistentFresh: an empty directory yields an empty database,
-// usable immediately.
-func TestOpenPersistentFresh(t *testing.T) {
-	db, err := OpenPersistent(t.TempDir(), NSM, Options{BufferPages: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if db.NumObjects() != 0 {
-		t.Fatalf("fresh persistent database holds %d objects", db.NumObjects())
-	}
-}
 
 // seedSnapshot writes a .codb seed for one model and returns its path
 // plus the generated extension.
@@ -109,7 +39,7 @@ func seedSnapshot(t *testing.T, kind ModelKind, n int) (string, []*cobench.Stati
 
 // TestCommitLogLifecycle drives the durable serving lifecycle end to end:
 // seed snapshot → commit log → durable commits → restart replays them →
-// checkpoint compacts the log → restart from the sidecar alone.
+// checkpoint compacts the log → restart from the checkpoint alone.
 func TestCommitLogLifecycle(t *testing.T) {
 	const kind = DASDBSNSM
 	snap, stations := seedSnapshot(t, kind, 40)
@@ -216,7 +146,8 @@ func TestCommitLogLifecycle(t *testing.T) {
 	}
 	v.Close()
 
-	// Checkpoint: sidecars written, log truncated, sequence preserved.
+	// Checkpoint: .codb checkpoint written, log truncated, sequence
+	// preserved.
 	if err := clog2.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -261,6 +192,232 @@ func TestCommitLogLifecycle(t *testing.T) {
 		t.Fatalf("sequence after checkpoint restart: %d, want 3", info.Seq)
 	}
 	v3.Close()
+}
+
+// seedCommitDir loads kinds over a fresh extension of n stations and
+// seeds a commit-log directory with their checkpoints.
+func seedCommitDir(t *testing.T, n int, kinds ...ModelKind) (string, cobench.Config, []*cobench.Station) {
+	t.Helper()
+	cfg := cobench.DefaultConfig().WithN(n)
+	stations, err := cobench.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, kind := range kinds {
+		db, err := Open(kind, Options{BufferPages: 128})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Load(stations); err != nil {
+			t.Fatal(err)
+		}
+		err = SeedCommitDir(dir, cfg, db)
+		db.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir, cfg, stations
+}
+
+// openDurable opens the commit log in dir over the checkpoints of kinds
+// and recovers it, returning the replay count.
+func openDurable(t *testing.T, dir string, kinds ...ModelKind) (*CommitLog, map[ModelKind]*Base, int) {
+	t.Helper()
+	clog, err := OpenCommitLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bases := make(map[ModelKind]*Base)
+	for _, kind := range kinds {
+		b, err := clog.OpenBase(kind, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		bases[kind] = b
+	}
+	n, err := clog.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		clog.Close()
+		for _, b := range bases {
+			b.Close()
+		}
+	})
+	return clog, bases, n
+}
+
+// commitName durably renames object obj of base to name.
+func commitName(t *testing.T, clog *CommitLog, base *Base, obj int32, name string) CommitInfo {
+	t.Helper()
+	v, err := base.NewView(Options{BufferPages: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	if err := v.sv.UpdateRoots([]int32{obj}, func(i int32, r *cobench.RootRecord) {
+		r.Name = name
+	}); err != nil {
+		t.Fatal(err)
+	}
+	info, err := v.Commit(clog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info
+}
+
+// readName reads object obj's name through a fresh view of base.
+func readName(t *testing.T, base *Base, key int32) string {
+	t.Helper()
+	v, err := base.NewView(Options{BufferPages: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	got, err := v.sv.FetchByKey(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got.Name
+}
+
+// TestCheckpointIsOneCodbPerModel pins the single on-disk format: after a
+// checkpoint the commit directory holds the log plus one single-model
+// .codb snapshot per model, each carrying the log's watermark and the
+// generator configuration of the snapshot it descends from.
+func TestCheckpointIsOneCodbPerModel(t *testing.T) {
+	kinds := []ModelKind{DSM, DASDBSNSM}
+	dir, cfg, _ := seedCommitDir(t, 30, kinds...)
+	clog, bases, _ := openDurable(t, dir, kinds...)
+	commitName(t, clog, bases[DSM], 3, "a")
+	commitName(t, clog, bases[DASDBSNSM], 4, "b")
+	commitName(t, clog, bases[DSM], 5, "c")
+	if err := clog.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	last := clog.Stats().LastSeq
+	if last != 3 {
+		t.Fatalf("LastSeq %d, want 3", last)
+	}
+
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := []string{"dnsm.codb", "dsm.codb", WALFileName}; !slices.Equal(names, want) {
+		t.Fatalf("commit dir holds %v, want %v", names, want)
+	}
+	for _, kind := range kinds {
+		info, err := StatSnapshot(snapshot.CheckpointPath(dir, kind.internal()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Seq != last || info.Gen != cfg || !slices.Equal(info.Models, []ModelKind{kind}) {
+			t.Errorf("%s checkpoint: %+v, want seq %d, gen %+v, models [%s]", kind, info, last, cfg, kind)
+		}
+	}
+}
+
+// TestCheckpointCrashBetweenFiles simulates a crash in the middle of a
+// checkpoint: one model's new checkpoint was renamed in, the other still
+// holds its previous file, and the log was never reset. Recovery must
+// replay the whole log over both — absolute page images make the replay
+// over the newer file idempotent — land every model on its last
+// committed state and continue the sequence.
+func TestCheckpointCrashBetweenFiles(t *testing.T) {
+	const a, b = DASDBSDSM, NSM
+	dir, _, stations := seedCommitDir(t, 30, a, b)
+	clog, bases, _ := openDurable(t, dir, a, b)
+	commitName(t, clog, bases[a], 2, "a1")
+	commitName(t, clog, bases[b], 6, "b1")
+	commitName(t, clog, bases[a], 2, "a2")
+
+	walPath := filepath.Join(dir, WALFileName)
+	bPath := snapshot.CheckpointPath(dir, b.internal())
+	logBefore, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bBefore, err := os.ReadFile(bPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := clog.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	clog.Close()
+	// Roll back what the crash did not reach: b's rename and the reset.
+	if err := os.WriteFile(walPath, logBefore, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(bPath, bBefore, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := StatSnapshot(snapshot.CheckpointPath(dir, a.internal())); err != nil || info.Seq != 3 {
+		t.Fatalf("a's checkpoint: %+v, %v; want seq 3", info, err)
+	}
+
+	clog2, bases2, n := openDurable(t, dir, a, b)
+	if n != 3 {
+		t.Fatalf("recovery replayed %d batches, want the whole log (3)", n)
+	}
+	if got := clog2.Stats().LastSeq; got != 3 {
+		t.Fatalf("recovered LastSeq %d, want 3", got)
+	}
+	if got := readName(t, bases2[a], stations[2].Key); got != "a2" {
+		t.Errorf("model a reads %q, want its last commit %q", got, "a2")
+	}
+	if got := readName(t, bases2[b], stations[6].Key); got != "b1" {
+		t.Errorf("model b reads %q, want its last commit %q", got, "b1")
+	}
+	if got := readName(t, bases2[b], stations[2].Key); got != stations[2].Name {
+		t.Errorf("model b object 2 reads %q, want the untouched %q", got, stations[2].Name)
+	}
+	if info := commitName(t, clog2, bases2[b], 7, "b2"); info.Seq != 4 {
+		t.Fatalf("commit after recovery got seq %d, want 4", info.Seq)
+	}
+}
+
+// TestCheckpointRejectsVersion1 pins the regenerate policy: a version-1
+// container (no watermark field) is refused with ErrFormat — by Stat, by
+// OpenBase and by a commit log that finds it as a checkpoint — instead
+// of being read with a guessed layout.
+func TestCheckpointRejectsVersion1(t *testing.T) {
+	dir, _, _ := seedCommitDir(t, 20, NSM)
+	path := snapshot.CheckpointPath(dir, NSM.internal())
+	v2, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// v1 layout: "CODB" | u16 version=1 | u32 genLen | ... (no u64 seq).
+	v1 := bytes.Clone(v2[:4])
+	v1 = binary.BigEndian.AppendUint16(v1, 1)
+	v1 = append(v1, v2[4+2+8:]...)
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := StatSnapshot(path); !errors.Is(err, snapshot.ErrFormat) {
+		t.Errorf("StatSnapshot(v1) = %v, want ErrFormat", err)
+	}
+	if _, err := OpenBase(path, NSM); !errors.Is(err, snapshot.ErrFormat) {
+		t.Errorf("OpenBase(v1) = %v, want ErrFormat", err)
+	}
+	clog, err := OpenCommitLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clog.Close()
+	if _, err := clog.OpenBase(NSM, ""); !errors.Is(err, snapshot.ErrFormat) {
+		t.Errorf("CommitLog.OpenBase over a v1 checkpoint = %v, want ErrFormat", err)
+	}
 }
 
 // TestCommitLogMaybeCheckpoint pins the size-triggered compaction valve.

@@ -47,7 +47,7 @@ type Config struct {
 	// regardless of scheduling.
 	Workers int
 	// Backend selects the device backend for every engine the suite
-	// builds: "" or "mem" (default), "file", "file:DIR" or "cow".
+	// builds: "" or "mem" (default) or "cow".
 	// Counters are bit-identical across backends; the choice only moves
 	// the page bytes. With "cow" every experiment routes model
 	// acquisition through one config-keyed frozen-base cache: the first
@@ -143,9 +143,8 @@ func Default() *Suite { return New(DefaultConfig()) }
 // Config returns the suite's effective configuration.
 func (s *Suite) Config() Config { return s.cfg }
 
-// Close releases the engines of every model the suite has cached (file
-// backends unmap and delete their anonymous arena files) and then the
-// frozen-base cache (dropping heap bases and snapshot file mappings).
+// Close releases the engines of every model the suite has cached and then
+// the frozen-base cache (dropping heap bases and snapshot file mappings).
 // The suite must not be used afterwards.
 func (s *Suite) Close() error {
 	var first error
@@ -475,8 +474,8 @@ func (s *Suite) matrixSerial(kinds []store.Kind) ([]Measured, error) {
 // left. Loads therefore stay near one per (worker, model actually touched)
 // instead of one per cell.
 //
-// What "opening an engine" costs depends on the backend. With the mem and
-// file backends every worker restores (or loads) a private arena, so peak
+// What "opening an engine" costs depends on the backend. With the mem
+// backend every worker restores (or loads) a private arena, so peak
 // memory scales with the worker count. With the cow backend the scheduler
 // instead builds one immutable shared base per model kind — read from the
 // snapshot, or loaded once and frozen — and hands each worker a
@@ -581,8 +580,7 @@ func (s *Suite) matrixParallel(workers int, kinds []store.Kind, queries []cobenc
 		}
 	})
 	if err != nil {
-		// Release every worker's engines: with a file backend each holds
-		// an mmap, a descriptor and an anonymous arena file.
+		// Release every worker's engines.
 		for _, wm := range workerModels {
 			for _, m := range wm {
 				m.Engine().Close()
@@ -591,7 +589,7 @@ func (s *Suite) matrixParallel(workers int, kinds []store.Kind, queries []cobenc
 		return nil, err
 	}
 	// Adopt one loaded copy of each model into the Suite cache; close the
-	// engines of redundant copies so file-backed arenas are released. The
+	// engines of redundant copies. The
 	// adopted copies differ from a serial run only in which queries they
 	// executed, which cannot affect the layout metadata (Sizes) that
 	// cached models serve.

@@ -13,7 +13,7 @@ import (
 // tests; every experiment is deterministic, so sharing is safe. The
 // COMPLEXOBJ_BACKEND environment variable (the CI matrix axis) selects
 // the device backend — every assertion in this package must hold
-// identically for "mem" and "file".
+// identically for "mem" and "cow".
 var (
 	suiteOnce sync.Once
 	suite     *Suite
@@ -29,8 +29,8 @@ func paperSuite(t *testing.T) *Suite {
 	return suite
 }
 
-// TestMain closes the shared suite so file-backend runs do not leave
-// anonymous arena files behind.
+// TestMain closes the shared suite, releasing its engines and its
+// frozen-base cache (snapshot mappings included).
 func TestMain(m *testing.M) {
 	code := m.Run()
 	if suite != nil {

@@ -12,7 +12,7 @@ import (
 // tests fast while still exercising every model × query cell, including the
 // update queries whose write-back paths are the most scheduling-sensitive.
 // The backend follows the CI matrix axis (COMPLEXOBJ_BACKEND), so all
-// determinism guarantees are pinned on the file backend too.
+// determinism guarantees are pinned on the cow backend too.
 func smallConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Gen = cobench.DefaultConfig().WithN(150)

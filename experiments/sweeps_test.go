@@ -193,8 +193,8 @@ func TestSweepSharedBaseDeterminism(t *testing.T) {
 }
 
 // TestMatrixBackendEquivalence asserts the acceptance property at the
-// harness level, three ways: the full paper query matrix is bit-identical
-// between the memory, file and copy-on-write backends. (The cow run here
+// harness level: the full paper query matrix is bit-identical between
+// the memory and copy-on-write backends. (The cow run here
 // exercises the serial path over bare overlays; the shared-base parallel
 // path is pinned by TestMatrixSharedBaseDeterminism.)
 func TestMatrixBackendEquivalence(t *testing.T) {
@@ -206,7 +206,7 @@ func TestMatrixBackendEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, backend := range []string{"file:" + t.TempDir(), "cow"} {
+	for _, backend := range []string{"cow"} {
 		cfg := smallConfig()
 		cfg.Backend = backend
 		s := New(cfg)

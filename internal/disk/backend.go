@@ -1,19 +1,13 @@
 package disk
 
-import (
-	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
-)
+import "fmt"
 
 // Backend is the storage substrate behind a Disk: one logical byte arena
 // holding every page image. The device layer owns all page-level
 // semantics (allocation, run transfers, I/O accounting); a backend only
-// decides where the arena bytes live — on the Go heap, mapped onto a real
-// file, or layered copy-on-write over a shared base. Swapping backends
-// therefore can never change the counters the paper measures, only the
-// persistence and sharing of the bytes.
+// decides where the arena bytes live — on the Go heap or layered
+// copy-on-write over a shared base. Swapping backends therefore can never
+// change the counters the paper measures, only the sharing of the bytes.
 //
 // Backends are not safe for concurrent use; the owning Disk serializes
 // access under its own mutex. Offsets and lengths are bytes; reads and
@@ -30,9 +24,7 @@ type Backend interface {
 	ReadAt(p []byte, off int) error
 	// WriteAt stores p at offset off. It must not retain p.
 	WriteAt(p []byte, off int) error
-	// Flush persists the arena contents (no-op for memory backends).
-	Flush() error
-	// Close flushes and releases the backend.
+	// Close releases the backend.
 	Close() error
 }
 
@@ -49,10 +41,9 @@ type flatBackend interface {
 // whose memory stays valid — and keeps reflecting the backend's content
 // for that range as written through this backend — until the backend is
 // reset (COW views) or closed. Growth must not invalidate stable slices:
-// backends that move their arena on Grow either retain the old memory
-// (mmap'ed arenas retire superseded mappings until Close) or rely on the
-// garbage collector (heap arenas), in which case a stale slice still
-// holds the bytes it was handed, exactly as a private copy would.
+// a heap arena that moves on Grow relies on the garbage collector, so a
+// stale slice still holds the bytes it was handed, exactly as a private
+// copy would.
 //
 // StablePage returns the n bytes at offset off, or ok=false when this
 // particular range cannot be shared (spans a COW page boundary, lies
@@ -119,7 +110,6 @@ func (b *memBackend) WriteAt(p []byte, off int) error {
 	return nil
 }
 
-func (b *memBackend) Flush() error { return nil }
 func (b *memBackend) Close() error { b.arena = nil; return nil }
 
 // StablePage implements StablePager over the heap arena. A Grow past the
@@ -139,9 +129,6 @@ type BackendKind int
 const (
 	// MemArena keeps page images on the Go heap (default).
 	MemArena BackendKind = iota
-	// FileArena maps the page arena onto a real file, grown in
-	// page-aligned extents and flushed on Close.
-	FileArena
 	// COWArena layers a private page-granular overlay over a shared,
 	// immutable base arena (copy-on-write). With a nil base it degenerates
 	// to a fully private overlay arena.
@@ -153,8 +140,6 @@ func (k BackendKind) String() string {
 	switch k {
 	case MemArena:
 		return "mem"
-	case FileArena:
-		return "file"
 	case COWArena:
 		return "cow"
 	default:
@@ -169,15 +154,6 @@ func (k BackendKind) String() string {
 // from the same spec all read through the same immutable base arena.
 type BackendSpec struct {
 	Kind BackendKind
-	// Path names an explicit arena file (FileArena only). When set, the
-	// file is kept on Close and its existing contents are adopted.
-	Path string
-	// Dir is the directory for anonymous arena files (FileArena with no
-	// Path; "" means the OS temp directory). Anonymous arenas are
-	// removed on Close.
-	Dir string
-	// KeepFiles retains anonymous arena files on Close (diagnostics).
-	KeepFiles bool
 	// Base is the shared immutable base arena for COWArena backends.
 	// nil means an empty base: every written page lives in the overlay,
 	// which makes "cow" usable as a drop-in backend even without a
@@ -189,112 +165,38 @@ type BackendSpec struct {
 //
 //	""            -> memory arena (default)
 //	"mem"         -> memory arena
-//	"file"        -> file arenas in the OS temp directory
-//	"file:DIR"    -> file arenas in DIR
 //	"cow"         -> copy-on-write arenas (shared base where the harness
 //	                 provides one, private overlays everywhere)
 func ParseBackendSpec(s string) (BackendSpec, error) {
-	switch {
-	case s == "" || s == "mem":
+	switch s {
+	case "", "mem":
 		return BackendSpec{Kind: MemArena}, nil
-	case s == "file":
-		return BackendSpec{Kind: FileArena}, nil
-	case strings.HasPrefix(s, "file:"):
-		return BackendSpec{Kind: FileArena, Dir: s[len("file:"):]}, nil
-	case s == "cow":
+	case "cow":
 		return BackendSpec{Kind: COWArena}, nil
 	default:
-		return BackendSpec{}, fmt.Errorf("disk: unknown backend spec %q (want mem, file, file:DIR or cow)", s)
+		return BackendSpec{}, fmt.Errorf("disk: unknown backend spec %q (want mem or cow)", s)
 	}
 }
 
 // String renders the spec back in ParseBackendSpec syntax.
 func (s BackendSpec) String() string {
-	switch s.Kind {
-	case FileArena:
-		if s.Path != "" {
-			return "file:" + s.Path
-		}
-		if s.Dir != "" {
-			return "file:" + s.Dir
-		}
-		return "file"
-	case COWArena:
+	if s.Kind == COWArena {
 		return "cow"
-	default:
-		return "mem"
 	}
+	return "mem"
 }
 
 // Open constructs a fresh backend per the spec, for a device with the
 // given page size (the COW overlay granularity; 0 means DefaultPageSize).
-// FileArena specs without an explicit Path create a uniquely named arena
-// file, so one spec can open arbitrarily many independent engines;
 // COWArena specs with a Base share that base across every engine opened
 // from the spec.
 func (s BackendSpec) Open(pageSize int) (Backend, error) {
 	switch s.Kind {
 	case MemArena:
 		return NewMemBackend(), nil
-	case FileArena:
-		if s.Path != "" {
-			return OpenFileBackend(s.Path, FileBackendOptions{})
-		}
-		dir := s.Dir
-		if dir == "" {
-			dir = os.TempDir()
-		}
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("disk: backend dir: %w", err)
-		}
-		f, err := os.CreateTemp(dir, "arena-*.pages")
-		if err != nil {
-			return nil, fmt.Errorf("disk: create arena file: %w", err)
-		}
-		path := f.Name()
-		f.Close()
-		return OpenFileBackend(path, FileBackendOptions{RemoveOnClose: !s.KeepFiles})
 	case COWArena:
 		return NewCOWBackend(s.Base, pageSize), nil
 	default:
 		return nil, fmt.Errorf("disk: unknown backend kind %d", int(s.Kind))
 	}
-}
-
-// FileBackendOptions tune the file-backed arena.
-type FileBackendOptions struct {
-	// ExtentBytes is the granularity the arena file grows in (rounded up
-	// to a multiple of the page size by the caller's layout; default
-	// DefaultExtentBytes). Growing in extents keeps the remap/truncate
-	// frequency O(log n) in the database size.
-	ExtentBytes int
-	// RemoveOnClose deletes the arena file on Close (anonymous arenas).
-	RemoveOnClose bool
-}
-
-// DefaultExtentBytes is the default arena-file growth granularity: 1 MiB,
-// i.e. 512 DASDBS pages per extent.
-const DefaultExtentBytes = 1 << 20
-
-func (o FileBackendOptions) extent() int {
-	if o.ExtentBytes > 0 {
-		return o.ExtentBytes
-	}
-	return DefaultExtentBytes
-}
-
-// roundUp rounds n up to a multiple of quantum.
-func roundUp(n, quantum int) int {
-	return (n + quantum - 1) / quantum * quantum
-}
-
-// removeIfRequested deletes an arena file if its options ask for it.
-func removeIfRequested(path string, o FileBackendOptions) error {
-	if !o.RemoveOnClose {
-		return nil
-	}
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("disk: remove arena %s: %w", filepath.Base(path), err)
-	}
-	return nil
 }

@@ -2,8 +2,6 @@ package disk
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"complexobj/internal/iostat"
@@ -14,18 +12,8 @@ import (
 // the CLI spec syntax; shared-base behaviour is pinned in cow_test.go.
 func backends(t *testing.T) map[string]func() Backend {
 	t.Helper()
-	dir := t.TempDir()
-	n := 0
 	return map[string]func() Backend{
 		"mem": func() Backend { return NewMemBackend() },
-		"file": func() Backend {
-			n++
-			b, err := OpenFileBackend(filepath.Join(dir, "arena"+string(rune('0'+n))), FileBackendOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
-		},
 		"cow": func() Backend { return NewCOWBackend(nil, DefaultPageSize) },
 	}
 }
@@ -55,7 +43,7 @@ func TestBackendGrowZeroes(t *testing.T) {
 			if err := b.WriteAt([]byte("mark"), 0); err != nil {
 				t.Fatal(err)
 			}
-			if err := b.Grow(3 * DefaultExtentBytes / 2); err != nil { // force a remap past one extent
+			if err := b.Grow(3 << 19); err != nil { // force a capacity regrowth
 				t.Fatal(err)
 			}
 			head := make([]byte, 4)
@@ -102,89 +90,6 @@ func TestBackendRangeChecks(t *testing.T) {
 	}
 }
 
-// TestFileBackendPersistsAcrossReopen pins the tentpole property of PR 2: a
-// device over a file backend survives Close and reopens with identical
-// pages and identical page count.
-func TestFileBackendPersistsAcrossReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "arena.pages")
-	b, err := OpenFileBackend(path, FileBackendOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := NewWithBackend(DefaultPageSize, b)
-	if _, err := d.Allocate(7); err != nil {
-		t.Fatal(err)
-	}
-	img := make([]byte, DefaultPageSize)
-	for i := range img {
-		img[i] = byte(i % 251)
-	}
-	if err := d.WriteRun(3, [][]byte{img}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := st.Size(), int64(7*DefaultPageSize); got != want {
-		t.Fatalf("closed arena file is %d bytes, want %d (truncated to allocated pages)", got, want)
-	}
-
-	b2, err := OpenFileBackend(path, FileBackendOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := Open(DefaultPageSize, b2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	if got := d2.NumPages(); got != 7 {
-		t.Fatalf("reopened device has %d pages, want 7", got)
-	}
-	back, err := d2.ReadCopy(3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(back[0], img) {
-		t.Fatal("page image changed across close/reopen")
-	}
-	// Reopened devices keep allocating after the existing pages.
-	id, err := d2.Allocate(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 7 {
-		t.Fatalf("post-reopen allocation starts at page %d, want 7", id)
-	}
-}
-
-// TestFileBackendRemoveOnClose asserts anonymous arenas clean up.
-func TestFileBackendRemoveOnClose(t *testing.T) {
-	spec := BackendSpec{Kind: FileArena, Dir: t.TempDir()}
-	b, err := spec.Open(DefaultPageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Grow(DefaultPageSize); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	left, err := os.ReadDir(spec.Dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != 0 {
-		t.Fatalf("anonymous arena left %d files behind", len(left))
-	}
-}
-
 // TestParseBackendSpec pins the CLI syntax.
 func TestParseBackendSpec(t *testing.T) {
 	cases := []struct {
@@ -194,10 +99,12 @@ func TestParseBackendSpec(t *testing.T) {
 	}{
 		{in: "", want: BackendSpec{Kind: MemArena}},
 		{in: "mem", want: BackendSpec{Kind: MemArena}},
-		{in: "file", want: BackendSpec{Kind: FileArena}},
-		{in: "file:/tmp/x", want: BackendSpec{Kind: FileArena, Dir: "/tmp/x"}},
 		{in: "cow", want: BackendSpec{Kind: COWArena}},
 		{in: "mmap", err: true},
+		// The file-backed arena is gone: databases persist as .codb
+		// snapshots, never as a live backend.
+		{in: "file", err: true},
+		{in: "file:/tmp/x", err: true},
 	}
 	for _, c := range cases {
 		got, err := ParseBackendSpec(c.in)

@@ -119,8 +119,12 @@ func TestCOWGrownPagesReadZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	dirty := bytes.Repeat([]byte{0xFF}, ps)
-	if err := d.ReadRun(4, [][]byte{dirty}); err != nil {
+	views, borrowed := make([][]byte, 1), make([]bool, 1)
+	if err := d.ReadRunShared(4, views, borrowed, func() []byte { return dirty }); err != nil {
 		t.Fatal(err)
+	}
+	if borrowed[0] {
+		t.Fatal("grown page past the base was lent instead of copied")
 	}
 	for i, v := range dirty {
 		if v != 0 {
@@ -249,7 +253,15 @@ func TestMappedBaseArena(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base, err := NewMappedBaseArena(path, off, len(pristine))
+	mapFile := func(off int64, n int) (*BaseArena, error) {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return MapBaseArena(f, off, n)
+	}
+	base, err := mapFile(off, len(pristine))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,14 +311,14 @@ func TestMappedBaseArena(t *testing.T) {
 	}
 
 	// Range validation: mapping past EOF must fail up front, not fault.
-	if _, err := NewMappedBaseArena(path, int64(len(file))-10, 20); err == nil {
+	if _, err := mapFile(int64(len(file))-10, 20); err == nil {
 		t.Error("mapping past EOF accepted")
 	}
-	if _, err := NewMappedBaseArena(path, -1, 10); err == nil {
+	if _, err := mapFile(-1, 10); err == nil {
 		t.Error("negative offset accepted")
 	}
 	// A zero-length region is a valid empty base.
-	empty, err := NewMappedBaseArena(path, off, 0)
+	empty, err := mapFile(off, 0)
 	if err != nil || empty.Len() != 0 {
 		t.Errorf("empty region: len=%d err=%v", empty.Len(), err)
 	}

@@ -61,8 +61,8 @@ func New(pageSize int) *Disk {
 }
 
 // NewWithBackend creates an empty device whose arena lives on the given
-// backend. A non-empty backend (a reopened arena file, a shared COW base)
-// must go through Open instead.
+// backend. A non-empty backend (a shared COW base) must go through Open
+// instead.
 func NewWithBackend(pageSize int, b Backend) *Disk {
 	if pageSize <= SysHeaderSize {
 		panic(fmt.Sprintf("disk: page size %d not larger than system header %d", pageSize, SysHeaderSize))
@@ -72,10 +72,9 @@ func NewWithBackend(pageSize int, b Backend) *Disk {
 	return d
 }
 
-// Open adopts a backend that already holds page images (a persistent
-// arena file from an earlier run, or a COW view over a shared base):
-// every complete page in the arena is considered allocated. The arena
-// length must be an exact multiple of the page size.
+// Open adopts a backend that already holds page images (a COW view over
+// a shared base): every complete page in the arena is considered
+// allocated. The arena length must be an exact multiple of the page size.
 func Open(pageSize int, b Backend) (*Disk, error) {
 	d := NewWithBackend(pageSize, b)
 	n := b.Len()
@@ -145,48 +144,30 @@ func (d *Disk) Allocate(n int) (PageID, error) {
 	return start, nil
 }
 
-// ReadRun reads len(dst) contiguous pages starting at start with a single
-// I/O call, filling the caller-provided buffers. Every buffer must be
-// exactly one page long; the buffer pool passes recycled frame memory here
-// so that steady-state reads allocate nothing.
-func (d *Disk) ReadRun(start PageID, dst [][]byte) error {
-	if len(dst) == 0 {
-		return ErrBadRun
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if int(start)+len(dst) > d.numPages {
-		return fmt.Errorf("%w: read [%d,%d) of %d", ErrOutOfRange, start, int(start)+len(dst), d.numPages)
-	}
-	for i, buf := range dst {
-		if len(buf) != d.pageSize {
-			return fmt.Errorf("%w: page %d buffer has size %d, want %d", ErrBadBuffer, int(start)+i, len(buf), d.pageSize)
-		}
-		if d.flat != nil {
-			copy(buf, d.page(int(start)+i))
-		} else if err := d.readBackend(buf, (int(start)+i)*d.pageSize); err != nil {
-			return err
-		}
-	}
-	d.stats.ReadCalls++
-	d.stats.PagesRead += int64(len(dst))
-	return nil
-}
-
 // ReadRunShared reads len(views) contiguous pages starting at start with
-// a single counted I/O call, like ReadRun, but without copying pages the
-// backend can share: views[i] either aliases backend-stable page memory
-// (borrowed[i] = true) or is a page-sized buffer obtained from getBuf and
-// filled with a private copy (borrowed[i] = false). Borrowed slices are
+// a single counted I/O call, without copying pages the backend can
+// share: views[i] either aliases backend-stable page memory
+// (borrowed[i] = true) or is a buffer obtained from getBuf and filled
+// with a private copy (borrowed[i] = false); every getBuf buffer must be
+// exactly one page long (ErrBadBuffer otherwise). Borrowed slices are
 // read-only and stay valid until the backend is reset or closed — the
 // buffer pool must drop every borrow before either happens (the
 // Discard-before-ResetView ordering of view recycling).
 //
-// Accounting is identical to ReadRun — one read call, len(views) pages —
-// so zero-copy is invisible to every paper counter. On error, entries
-// already holding getBuf buffers keep them (borrowed[i] = false) and all
-// remaining entries are nil, so the caller can reclaim its buffers.
+// Accounting is one read call and len(views) pages whether a page was
+// borrowed or copied, so zero-copy is invisible to every paper counter.
+// On error, entries already holding getBuf buffers keep them
+// (borrowed[i] = false) and all remaining entries are nil, so the caller
+// can reclaim its buffers.
 func (d *Disk) ReadRunShared(start PageID, views [][]byte, borrowed []bool, getBuf func() []byte) error {
+	return d.readRun(start, views, borrowed, getBuf, true)
+}
+
+// readRun is the device's one counted read path. With lend false every
+// page is copied into a getBuf buffer while the device lock is held:
+// that is what makes ReadCopy a snapshot even under concurrent writers,
+// where copying lent views after the call returns would race with them.
+func (d *Disk) readRun(start PageID, views [][]byte, borrowed []bool, getBuf func() []byte, lend bool) error {
 	if len(views) == 0 {
 		return ErrBadRun
 	}
@@ -202,7 +183,7 @@ func (d *Disk) ReadRunShared(start PageID, views [][]byte, borrowed []bool, getB
 	}
 	for i := range views {
 		off := (int(start) + i) * d.pageSize
-		if d.stable != nil {
+		if lend && d.stable != nil {
 			if s, ok := d.stable.StablePage(off, d.pageSize); ok {
 				views[i], borrowed[i] = s, true
 				continue
@@ -227,19 +208,24 @@ func (d *Disk) ReadRunShared(start PageID, views [][]byte, borrowed []bool, getB
 }
 
 // ReadCopy reads n contiguous pages starting at start with a single I/O
-// call into freshly allocated buffers (all carved from one allocation).
-// Convenience for tests and one-shot inspection; hot paths use ReadRun with
-// recycled buffers instead.
+// call into freshly allocated buffers (all carved from one allocation):
+// the ReadRunShared path with lending off, so every page is a private
+// copy taken under the device lock. Convenience for tests and one-shot
+// inspection; the buffer pool reads through ReadRunShared with recycled
+// buffers instead.
 func (d *Disk) ReadCopy(start PageID, n int) ([][]byte, error) {
 	if n <= 0 {
 		return nil, ErrBadRun
 	}
 	block := make([]byte, n*d.pageSize)
 	out := make([][]byte, n)
-	for i := range out {
-		out[i] = block[i*d.pageSize : (i+1)*d.pageSize : (i+1)*d.pageSize]
+	next := 0
+	getBuf := func() []byte {
+		buf := block[next*d.pageSize : (next+1)*d.pageSize : (next+1)*d.pageSize]
+		next++
+		return buf
 	}
-	if err := d.ReadRun(start, out); err != nil {
+	if err := d.readRun(start, out, make([]bool, n), getBuf, false); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -271,17 +257,7 @@ func (d *Disk) WriteRun(start PageID, pages [][]byte) error {
 	return nil
 }
 
-// Flush persists the arena through the backend (no-op for the memory
-// backend). Flushing is a durability action, not an I/O-call in the
-// paper's sense: the counters only track page traffic between device and
-// buffer pool.
-func (d *Disk) Flush() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.backend.Flush()
-}
-
-// Close flushes and releases the backend. For a COW view this releases
+// Close releases the backend. For a COW view this releases
 // only the private overlay — the shared base arena stays alive for every
 // other engine reading through it. The device must not be used afterwards.
 func (d *Disk) Close() error {

@@ -192,8 +192,11 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
+// TestReadRunFillsCallerBuffers pins the copy side of the one read path:
+// pages the backend cannot lend land in the buffers the caller hands out
+// through getBuf, in one counted call.
 func TestReadRunFillsCallerBuffers(t *testing.T) {
-	d := newTestDisk(t)
+	d := NewWithBackend(DefaultPageSize, opaque{NewMemBackend()})
 	start, _ := d.Allocate(3)
 	pages := make([][]byte, 3)
 	for i := range pages {
@@ -207,12 +210,18 @@ func TestReadRunFillsCallerBuffers(t *testing.T) {
 	for i := range dst {
 		dst[i] = make([]byte, d.PageSize())
 	}
-	if err := d.ReadRun(start, dst); err != nil {
+	next := 0
+	views := make([][]byte, 3)
+	borrowed := make([]bool, 3)
+	if err := d.ReadRunShared(start, views, borrowed, func() []byte { next++; return dst[next-1] }); err != nil {
 		t.Fatal(err)
 	}
 	for i := range dst {
 		if dst[i][0] != byte(i+1) {
 			t.Errorf("page %d: got %d, want %d", i, dst[i][0], i+1)
+		}
+		if &views[i][0] != &dst[i][0] || borrowed[i] {
+			t.Errorf("page %d: view is not the caller's buffer", i)
 		}
 	}
 	if s := d.Stats(); s.ReadCalls != 1 || s.PagesRead != 3 {
@@ -220,11 +229,18 @@ func TestReadRunFillsCallerBuffers(t *testing.T) {
 	}
 }
 
+// TestReadRunRejectsWrongBufferSize: a copy buffer that is not one page
+// long fails the read with ErrBadBuffer and counts nothing.
 func TestReadRunRejectsWrongBufferSize(t *testing.T) {
-	d := newTestDisk(t)
+	d := NewWithBackend(DefaultPageSize, opaque{NewMemBackend()})
 	d.Allocate(1)
-	if err := d.ReadRun(0, [][]byte{make([]byte, 10)}); !errors.Is(err, ErrBadBuffer) {
+	views, borrowed := make([][]byte, 1), make([]bool, 1)
+	err := d.ReadRunShared(0, views, borrowed, func() []byte { return make([]byte, 10) })
+	if !errors.Is(err, ErrBadBuffer) {
 		t.Errorf("short buffer err = %v, want ErrBadBuffer", err)
+	}
+	if s := d.Stats(); s.ReadCalls != 0 || s.PagesRead != 0 {
+		t.Errorf("failed read counted: %v", s)
 	}
 }
 

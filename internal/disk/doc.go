@@ -11,23 +11,26 @@
 //
 // Page images live in a single logical arena rather than one heap object
 // per page, so a run transfer is a pair of memmoves over adjacent memory.
-// ReadRun transfers into caller-provided buffers (the buffer pool passes
-// recycled frame memory), so the steady-state read path performs no
-// allocation at all.
+// ReadRunShared is the one counted read path: it lends stable page
+// memory where the backend has it and copies into caller-provided
+// buffers (the buffer pool passes recycled frame memory) where it does
+// not, so the steady-state read path performs no allocation at all.
 //
 // # Backend contract
 //
 // Where the arena bytes live is a pluggable Backend. A backend implements
-// offset-based byte I/O (Len, Grow, ReadAt, WriteAt, Flush, Close) over
-// one logical arena; backends whose arena is a single contiguous slice
+// offset-based byte I/O (Len, Grow, ReadAt, WriteAt, Close) over one
+// logical arena; backends whose arena is a single contiguous slice
 // additionally expose it, and the device then bypasses the interface with
-// direct memmoves. Three implementations exist:
+// direct memmoves. Two implementations exist:
 //
 //   - mem: the arena on the Go heap (the original in-memory device);
-//   - file: the arena mapped onto a real file, grown in extents, so a
-//     device survives the process;
 //   - cow: a page-granular private overlay over a shared immutable
 //     BaseArena (copy-on-write).
+//
+// Neither persists anything: a database survives the process as a .codb
+// snapshot (package snapshot), whose arena region a BaseArena maps back
+// in.
 //
 // The contract every backend must honour: Grow never shrinks and fresh
 // bytes read as zero; ReadAt overwrites the whole destination buffer
@@ -52,7 +55,7 @@
 //
 // A BaseArena outlives any single engine, so its storage is reference
 // counted rather than tied to an owner: construction (NewBaseArena,
-// NewMappedBaseArena) hands the creator one reference, every COW backend
+// MapBaseArena) hands the creator one reference, every COW backend
 // opened over the base takes another, Close on a view and Release on a
 // handle each drop one, and the storage is freed exactly when the count
 // reaches zero. The contract callers rely on: a base can never be
@@ -63,7 +66,7 @@
 //
 // The counting pays off for the two base variants differently. A heap
 // base (NewBaseArena) could in principle lean on the garbage collector;
-// an mmap-backed base (NewMappedBaseArena, used for .codb snapshots)
+// an mmap-backed base (MapBaseArena, used for .codb snapshots)
 // cannot — the file mapping must be unmapped explicitly, and unmapping
 // while a view could still read it would be a crash, not a leak. The
 // mapped variant is what makes `-db x.codb -backend cow` memory-cheap:
@@ -81,8 +84,8 @@
 // aliasing the backend's own memory for a range inside one page. The
 // slice is a live view, not a snapshot — it stays valid (and observes
 // later writes through the device) until the backend is reset or closed;
-// growth never moves existing pages. The mem and file backends serve
-// stable pages from their arenas; the cow backend serves a materialized
+// growth never moves existing pages. The mem backend serves stable
+// pages from its arena; the cow backend serves a materialized
 // page from its private overlay image and a clean page from the shared
 // base arena itself, which is what lets every view of one frozen base
 // read the same physical bytes. Fault-injecting wrappers deliberately
@@ -91,10 +94,12 @@
 //
 // Disk.ReadRunShared is the counted entry point: for each page of a run
 // it hands out a stable alias where the backend offers one and falls
-// back to a caller-provided copy buffer where it does not, while
-// incrementing ReadCalls and PagesRead exactly like ReadRun — callers
-// above (the buffer pool's borrowed frames) inherit zero-copy reads
-// without any change to the paper-visible counters.
+// back to a caller-provided copy buffer where it does not, counting one
+// read call and len(views) pages either way — callers above (the
+// buffer pool's borrowed frames) inherit zero-copy reads without any
+// change to the paper-visible counters. ReadCopy, the inspection
+// convenience, runs the same path with lending off, copying every page
+// into a fresh block under the device lock.
 //
 // Disk.ResetView is the COW-only recycling hook: it drops every overlay
 // page and truncates growth past the base, restoring the device to the

@@ -2,7 +2,6 @@ package disk
 
 import (
 	"bytes"
-	"path/filepath"
 	"testing"
 )
 
@@ -11,10 +10,6 @@ import (
 // aliasing and base integrity.
 func stableDevices(t *testing.T) map[string]*Disk {
 	t.Helper()
-	fb, err := OpenFileBackend(filepath.Join(t.TempDir(), "arena"), FileBackendOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The cow base matches the 4 pages TestStablePageSemantics allocates,
 	// so its out-of-range cases sit outside the backend arena for every
 	// backend kind (larger allocations simply grow the overlay).
@@ -24,9 +19,8 @@ func stableDevices(t *testing.T) map[string]*Disk {
 		t.Fatal(err)
 	}
 	devs := map[string]*Disk{
-		"mem":  New(DefaultPageSize),
-		"file": NewWithBackend(DefaultPageSize, fb),
-		"cow":  cow,
+		"mem": New(DefaultPageSize),
+		"cow": cow,
 	}
 	for _, d := range devs {
 		t.Cleanup(func() { d.Close() })
@@ -136,10 +130,10 @@ func TestStablePageCOWAliasing(t *testing.T) {
 	}
 }
 
-// TestReadRunSharedMatchesReadRun pins that the zero-copy read path is
-// invisible to the paper counters and returns the same bytes as ReadRun,
-// borrowing every page a stable backend can share.
-func TestReadRunSharedMatchesReadRun(t *testing.T) {
+// TestReadRunSharedMatchesReadCopy pins that the zero-copy read path is
+// invisible to the paper counters and returns the same bytes as the
+// copying ReadCopy, borrowing every page a stable backend can share.
+func TestReadRunSharedMatchesReadCopy(t *testing.T) {
 	const ps = DefaultPageSize
 	for name, d := range stableDevices(t) {
 		t.Run(name, func(t *testing.T) {
@@ -152,14 +146,14 @@ func TestReadRunSharedMatchesReadRun(t *testing.T) {
 				}
 			}
 			d.ResetStats()
-			plain := make([][]byte, 4)
-			for i := range plain {
-				plain[i] = make([]byte, ps)
-			}
-			if err := d.ReadRun(2, plain); err != nil {
+			plain, err := d.ReadCopy(2, 4)
+			if err != nil {
 				t.Fatal(err)
 			}
 			afterPlain := d.Stats()
+			if afterPlain.ReadCalls != 1 || afterPlain.PagesRead != 4 {
+				t.Errorf("ReadCopy accounting %+v, want 1 call / 4 pages", afterPlain)
+			}
 
 			d.ResetStats()
 			views := make([][]byte, 4)
@@ -173,8 +167,11 @@ func TestReadRunSharedMatchesReadRun(t *testing.T) {
 				t.Errorf("shared read counters %+v != plain read %+v", got, afterPlain)
 			}
 			for i := range views {
-				if !bytes.Equal(views[i], plain[i]) {
-					t.Errorf("page %d: shared bytes differ from ReadRun", i+2)
+				if !bytes.Equal(views[i], plain[i]) || views[i][0] != byte(i+3) {
+					t.Errorf("page %d: shared bytes differ from ReadCopy", i+2)
+				}
+				if &plain[i][0] == &views[i][0] {
+					t.Errorf("page %d: ReadCopy returned a borrowed view, not a copy", i+2)
 				}
 				if !borrowed[i] {
 					t.Errorf("page %d not borrowed from a stable backend", i+2)

@@ -381,7 +381,6 @@ type backend struct {
 func (b *backend) Unwrap() disk.Backend { return b.inner }
 
 func (b *backend) Len() int     { return b.inner.Len() }
-func (b *backend) Flush() error { return b.inner.Flush() }
 func (b *backend) Close() error { return b.inner.Close() }
 
 // StablePage implements disk.StablePager by delegation, but never for a

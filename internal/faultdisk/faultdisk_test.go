@@ -76,7 +76,6 @@ type memBackend struct {
 }
 
 func (m *memBackend) Len() int     { return len(m.data) }
-func (m *memBackend) Flush() error { return nil }
 func (m *memBackend) Close() error { return nil }
 func (m *memBackend) Grow(n int) error {
 	m.data = append(m.data, make([]byte, n-len(m.data))...)

@@ -9,14 +9,22 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"complexobj/cobench"
 	"complexobj/internal/disk"
 	"complexobj/internal/store"
 )
 
-// Version is the current container format version.
-const Version = 1
+// Version is the current container format version. Version 2 added the
+// WAL watermark (Info.Seq) to the header; version-1 files are rejected
+// with ErrFormat and regenerated.
+const Version = 2
+
+// maxPageSize bounds the page size a snapshot entry may declare, so a
+// corrupt header can neither overflow the arena-size arithmetic nor ask
+// for an absurd allocation.
+const maxPageSize = 1 << 24
 
 var magic = [4]byte{'C', 'O', 'D', 'B'}
 
@@ -32,21 +40,45 @@ var (
 type Info struct {
 	// Gen is the generator configuration the snapshot was built from.
 	Gen cobench.Config
+	// Seq is the last acknowledged WAL commit sequence the arenas include:
+	// 0 for a snapshot written by Write (cogen -db), the log's watermark
+	// for a checkpoint written by WriteBase.
+	Seq uint64
 	// Kinds lists the stored models in file order.
 	Kinds []store.Kind
 	// PageSize is the device page size shared by all stored models.
 	PageSize int
 }
 
-// Write serializes the loaded models into path (atomically: a temp file
-// in the same directory is renamed over the target). Dirty pages are
-// flushed into the device first, so the arena is the authoritative state.
-func Write(path string, gen cobench.Config, models ...store.Model) error {
-	if len(models) == 0 {
-		return errors.New("snapshot: no models to write")
+// appendHeader appends the container header for count models.
+func appendHeader(b []byte, gen cobench.Config, seq uint64, count int) ([]byte, error) {
+	genJSON, err := json.Marshal(gen)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: encode gen config: %w", err)
 	}
+	b = append(b, magic[:]...)
+	b = binary.BigEndian.AppendUint16(b, Version)
+	b = binary.BigEndian.AppendUint64(b, seq)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(genJSON)))
+	b = append(b, genJSON...)
+	return binary.BigEndian.AppendUint16(b, uint16(count)), nil
+}
+
+// appendEntry appends one model's entry header; its meta blob and arena
+// follow it in the file.
+func appendEntry(b []byte, k store.Kind, pageSize, numPages, metaLen int) []byte {
+	b = append(b, byte(k))
+	b = binary.BigEndian.AppendUint32(b, uint32(pageSize))
+	b = binary.BigEndian.AppendUint32(b, uint32(numPages))
+	return binary.BigEndian.AppendUint32(b, uint32(metaLen))
+}
+
+// writeFileAtomic streams content into a temp file in path's directory,
+// makes it durable and renames it over path: a reader (or a crash) sees
+// either the old file or the complete new one, never a torn mix.
+func writeFileAtomic(path string, write func(w *bufio.Writer) error) error {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".codb-*")
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+"-*")
 	if err != nil {
 		return fmt.Errorf("snapshot: create: %w", err)
 	}
@@ -55,65 +87,8 @@ func Write(path string, gen cobench.Config, models ...store.Model) error {
 		os.Remove(tmp.Name())
 	}()
 	w := bufio.NewWriterSize(tmp, 1<<20)
-
-	genJSON, err := json.Marshal(gen)
-	if err != nil {
-		return fmt.Errorf("snapshot: encode gen config: %w", err)
-	}
-	if _, err := w.Write(magic[:]); err != nil {
+	if err := write(w); err != nil {
 		return err
-	}
-	var u16 [2]byte
-	var u32 [4]byte
-	putU16 := func(v uint16) error {
-		binary.BigEndian.PutUint16(u16[:], v)
-		_, err := w.Write(u16[:])
-		return err
-	}
-	putU32 := func(v uint32) error {
-		binary.BigEndian.PutUint32(u32[:], v)
-		_, err := w.Write(u32[:])
-		return err
-	}
-	if err := putU16(Version); err != nil {
-		return err
-	}
-	if err := putU32(uint32(len(genJSON))); err != nil {
-		return err
-	}
-	if _, err := w.Write(genJSON); err != nil {
-		return err
-	}
-	if err := putU16(uint16(len(models))); err != nil {
-		return err
-	}
-	for _, m := range models {
-		if err := m.Flush(); err != nil {
-			return fmt.Errorf("snapshot: flush %s: %w", m.Kind(), err)
-		}
-		meta, err := m.SnapshotMeta()
-		if err != nil {
-			return fmt.Errorf("snapshot: meta %s: %w", m.Kind(), err)
-		}
-		dev := m.Engine().Dev
-		if err := w.WriteByte(byte(m.Kind())); err != nil {
-			return err
-		}
-		if err := putU32(uint32(dev.PageSize())); err != nil {
-			return err
-		}
-		if err := putU32(uint32(dev.NumPages())); err != nil {
-			return err
-		}
-		if err := putU32(uint32(len(meta))); err != nil {
-			return err
-		}
-		if _, err := w.Write(meta); err != nil {
-			return err
-		}
-		if err := dev.DumpTo(w); err != nil {
-			return fmt.Errorf("snapshot: dump %s arena: %w", m.Kind(), err)
-		}
 	}
 	if err := w.Flush(); err != nil {
 		return err
@@ -129,7 +104,110 @@ func Write(path string, gen cobench.Config, models ...store.Model) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	syncDir(dir)
+	return nil
+}
+
+// syncDir makes a rename durable (best effort: some filesystems refuse
+// directory fsync; a checkpoint's WAL covers the gap there).
+func syncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
+	}
+}
+
+// Write serializes the loaded models into path (atomically: a temp file
+// in the same directory is renamed over the target) with WAL watermark 0.
+// Dirty pages are flushed into the device first, so the arena is the
+// authoritative state.
+func Write(path string, gen cobench.Config, models ...store.Model) error {
+	if len(models) == 0 {
+		return errors.New("snapshot: no models to write")
+	}
+	hdr, err := appendHeader(nil, gen, 0, len(models))
+	if err != nil {
+		return err
+	}
+	return writeFileAtomic(path, func(w *bufio.Writer) error {
+		if _, err := w.Write(hdr); err != nil {
+			return err
+		}
+		for _, m := range models {
+			if err := m.Flush(); err != nil {
+				return fmt.Errorf("snapshot: flush %s: %w", m.Kind(), err)
+			}
+			meta, err := m.SnapshotMeta()
+			if err != nil {
+				return fmt.Errorf("snapshot: meta %s: %w", m.Kind(), err)
+			}
+			dev := m.Engine().Dev
+			if _, err := w.Write(appendEntry(nil, m.Kind(), dev.PageSize(), dev.NumPages(), len(meta))); err != nil {
+				return err
+			}
+			if _, err := w.Write(meta); err != nil {
+				return err
+			}
+			if err := dev.DumpTo(w); err != nil {
+				return fmt.Errorf("snapshot: dump %s arena: %w", m.Kind(), err)
+			}
+		}
+		return nil
+	})
+}
+
+// WriteBase writes the current generation of a shared base into path as
+// a single-model snapshot recording seq as its WAL watermark: the
+// checkpoint form of the durable commit path (see CheckpointPath). The
+// arena goes out in one write straight from the base's memory; gen is
+// the generator configuration of the snapshot the base descends from.
+func WriteBase(path string, gen cobench.Config, seq uint64, b *store.SharedBase) error {
+	_, numPages, meta, arena := b.SnapshotState()
+	defer arena.Release()
+	if got, want := arena.Len(), numPages*b.PageSize(); got != want {
+		return fmt.Errorf("snapshot: base %s arena of %d bytes, want %d", b.Kind(), got, want)
+	}
+	hdr, err := appendHeader(nil, gen, seq, 1)
+	if err != nil {
+		return err
+	}
+	hdr = appendEntry(hdr, b.Kind(), b.PageSize(), numPages, len(meta))
+	return writeFileAtomic(path, func(w *bufio.Writer) error {
+		for _, p := range [][]byte{hdr, meta, arena.Bytes()} {
+			if _, err := w.Write(p); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// Slug returns the file-name slug of a storage model (the short aliases
+// the CLI accepts: dsm, ddsm, nsm, nsmx, dnsm).
+func Slug(k store.Kind) string {
+	switch k {
+	case store.DSM:
+		return "dsm"
+	case store.DASDBSDSM:
+		return "ddsm"
+	case store.NSM:
+		return "nsm"
+	case store.NSMIndex:
+		return "nsmx"
+	case store.DASDBSNSM:
+		return "dnsm"
+	default:
+		return fmt.Sprintf("kind%d", byte(k))
+	}
+}
+
+// CheckpointPath returns the path of a model's checkpoint in a commit-log
+// directory: dir/<slug>.codb, one single-model snapshot per model.
+func CheckpointPath(dir string, k store.Kind) string {
+	return filepath.Join(dir, Slug(k)+".codb")
 }
 
 // entry is one model's position inside a snapshot file.
@@ -168,11 +246,12 @@ func parse(f *os.File) (Info, []entry, error) {
 	if v := binary.BigEndian.Uint16(vb); v != Version {
 		return Info{}, nil, fmt.Errorf("%w: version %d, want %d", ErrFormat, v, Version)
 	}
-	lb, err := readN(4)
+	lb, err := readN(8 + 4)
 	if err != nil {
 		return Info{}, nil, err
 	}
-	genLen := int(binary.BigEndian.Uint32(lb))
+	seq := binary.BigEndian.Uint64(lb)
+	genLen := int(binary.BigEndian.Uint32(lb[8:]))
 	if genLen > 1<<20 {
 		return Info{}, nil, fmt.Errorf("%w: gen config of %d bytes", ErrFormat, genLen)
 	}
@@ -180,7 +259,7 @@ func parse(f *os.File) (Info, []entry, error) {
 	if err != nil {
 		return Info{}, nil, err
 	}
-	var info Info
+	info := Info{Seq: seq}
 	if err := json.Unmarshal(genJSON, &info.Gen); err != nil {
 		return Info{}, nil, fmt.Errorf("%w: gen config: %v", ErrFormat, err)
 	}
@@ -202,8 +281,11 @@ func parse(f *os.File) (Info, []entry, error) {
 			metaLen:  int(binary.BigEndian.Uint32(hdr[9:])),
 			metaOff:  off,
 		}
-		if e.pageSize <= 0 || e.numPages < 0 {
-			return Info{}, nil, fmt.Errorf("%w: entry %d geometry", ErrFormat, i)
+		if e.pageSize <= disk.SysHeaderSize || e.pageSize > maxPageSize || e.numPages < 0 {
+			return Info{}, nil, fmt.Errorf("%w: entry %d geometry: page size %d, %d pages", ErrFormat, i, e.pageSize, e.numPages)
+		}
+		if !slices.Contains(store.AllKinds(), e.kind) {
+			return Info{}, nil, fmt.Errorf("%w: entry %d unknown model kind %d", ErrFormat, i, byte(e.kind))
 		}
 		skip := int64(e.metaLen) + int64(e.numPages)*int64(e.pageSize)
 		if _, err := f.Seek(skip, io.SeekCurrent); err != nil {
@@ -280,7 +362,7 @@ func Open(path string, k store.Kind, o store.Options) (store.Model, error) {
 // without copying the arena through the heap where the platform allows
 // it: the directory metadata is read normally (it is small), while the
 // arena region of the .codb file is mmap'ed read-only in place
-// (disk.NewMappedBaseArena; on platforms without mmap support it degrades
+// (disk.MapBaseArena; on platforms without mmap support it degrades
 // to the heap copy of OpenBaseHeap). Every engine opened from the base
 // afterwards is a copy-on-write view of that single mapping, so a
 // paper-scale `-db x.codb -backend cow` run starts with near-zero

@@ -43,7 +43,7 @@ func runAll(t *testing.T, m store.Model) []workload.Result {
 // TestSnapshotRoundTrip pins the acceptance property of the snapshot
 // format: write → close → open restores every storage model such that the
 // full query matrix produces counters bit-identical to the freshly loaded
-// original — on the memory and on the file backend.
+// original — on the memory backend and on a bare copy-on-write overlay.
 func TestSnapshotRoundTrip(t *testing.T) {
 	gen := testGen()
 	stations, err := cobench.Generate(gen)
@@ -87,7 +87,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	for _, k := range kinds {
 		for _, spec := range []disk.BackendSpec{
 			{Kind: disk.MemArena},
-			{Kind: disk.FileArena, Dir: t.TempDir()},
+			{Kind: disk.COWArena},
 		} {
 			m, err := snapshot.Open(path, k, store.Options{BufferPages: 180, Backend: spec})
 			if err != nil {

@@ -110,15 +110,14 @@ type Engine struct {
 }
 
 // NewEngine creates a device/pool pair over the backend named by the
-// options. A backend that already holds page images (an explicit-path
-// arena file from an earlier run, or a COW view over a shared base) is
-// adopted: its pages count as allocated, so fresh allocations extend the
-// persisted device instead of aliasing it.
+// options. A backend that already holds page images (a COW view over a
+// shared base) is adopted: its pages count as allocated, so fresh
+// allocations extend the device instead of aliasing it.
 func NewEngine(o Options) (*Engine, error) {
 	o = o.withDefaults()
 	// Validate before opening the backend: an invalid configuration must
 	// come back as an error, not as a construction panic holding a base
-	// reference or an arena file.
+	// reference.
 	if o.PageSize <= disk.SysHeaderSize {
 		return nil, fmt.Errorf("store: page size %d not larger than the %d-byte system header", o.PageSize, disk.SysHeaderSize)
 	}
@@ -148,9 +147,9 @@ func NewEngine(o Options) (*Engine, error) {
 // Options returns the engine's effective options.
 func (e *Engine) Options() Options { return e.opts }
 
-// Close flushes all dirty pages and releases the device backend
-// (unmapping and, for anonymous file arenas, deleting the arena file).
-// The engine must not be used afterwards.
+// Close flushes all dirty pages and releases the device backend (for a
+// COW view, its overlay and its reference on the shared base). The
+// engine must not be used afterwards.
 func (e *Engine) Close() error {
 	flushErr := e.Pool.FlushAll()
 	if err := e.Dev.Close(); err != nil {

@@ -11,9 +11,9 @@ import (
 // TestBackendCounterEquivalence is the tentpole invariant test at the raw
 // counter level: the full paper query matrix, run on every storage model,
 // produces bit-identical iostat counters (page I/Os, I/O calls, buffer
-// fixes and hits) whether the device arena lives in memory, on a mmap'ed
-// file, or in a copy-on-write overlay — both the bare overlay ("cow" with
-// no base) and a view of a frozen shared base. The backend moves bytes,
+// fixes and hits) whether the device arena lives in memory or in a
+// copy-on-write overlay — both the bare overlay ("cow" with no base) and
+// a view of a frozen shared base. The backend moves bytes,
 // never measurements.
 func TestBackendCounterEquivalence(t *testing.T) {
 	stations, err := cobench.Generate(cobench.DefaultConfig().WithN(80))
@@ -45,8 +45,7 @@ func TestBackendCounterEquivalence(t *testing.T) {
 
 			mem := run(disk.BackendSpec{Kind: disk.MemArena})
 			got := map[string][]Result{
-				"file": run(disk.BackendSpec{Kind: disk.FileArena, Dir: t.TempDir()}),
-				"cow":  run(disk.BackendSpec{Kind: disk.COWArena}),
+				"cow": run(disk.BackendSpec{Kind: disk.COWArena}),
 			}
 			// Shared-base view: freeze one loaded model, measure a COW view.
 			loader := load(disk.BackendSpec{Kind: disk.MemArena})

@@ -39,7 +39,7 @@ type View struct {
 // NewView opens a fresh standalone view of the base, with a cold cache
 // and zeroed counters. The options follow the same rules as Base.Open.
 func (b *Base) NewView(opts Options) (*View, error) {
-	so, err := b.viewOptions(opts)
+	so, err := opts.internal()
 	if err != nil {
 		return nil, err
 	}
@@ -48,18 +48,6 @@ func (b *Base) NewView(opts Options) (*View, error) {
 		return nil, err
 	}
 	return &View{kind: b.kind, sv: sv}, nil
-}
-
-// viewOptions validates facade options for opening views of the base.
-func (b *Base) viewOptions(opts Options) (store.Options, error) {
-	so, err := opts.internal()
-	if err != nil {
-		return store.Options{}, err
-	}
-	if so.Backend.Kind != disk.MemArena && so.Backend.Kind != disk.COWArena {
-		return store.Options{}, fmt.Errorf("complexobj: backend %q cannot open a shared base (views are copy-on-write)", opts.Backend)
-	}
-	return so, nil
 }
 
 // Kind returns the storage model the view executes.
@@ -205,7 +193,7 @@ func closeAll(svs []*store.View) {
 // maxViews <= 0 defaults to 8. The options apply to every view and follow
 // the same rules as Base.Open.
 func NewViewPool(base *Base, opts Options, maxViews int) (*ViewPool, error) {
-	if _, err := base.viewOptions(opts); err != nil {
+	if _, err := opts.internal(); err != nil {
 		return nil, err
 	}
 	if maxViews <= 0 {
